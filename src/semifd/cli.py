@@ -65,6 +65,11 @@ def _parse_F(table: EnumerationTable, raw) -> list:
     return out
 
 
+def _F_length(item) -> int:
+    """Generators in an F word ("e" has none), or the integer entry itself."""
+    return (0 if item in ("", "e") else item.count(".") + 1) if isinstance(item, str) else int(item)
+
+
 def _load_kernel(cfg) -> KernelSpec:
     if isinstance(cfg, str):
         cfg = {"name": cfg}
@@ -154,7 +159,7 @@ def _cmd_fdapprox(cfg, max_words, norm_tol):
     L = int(cfg.get("L", 5))
     if "F" not in cfg:
         raise ConfigError('fdapprox needs "F"')
-    bound = max(L, max((len(w) if isinstance(w, str) else int(w)) for w in cfg["F"]) if cfg["F"] else L)
+    bound = max(L, max(map(_F_length, cfg["F"])) if cfg["F"] else L)
     table = enumerate_monoid(pres, max(L, bound + L), max_words=max_words)
     F = _parse_F(table, cfg["F"])
     runner = CheckRunner()
@@ -191,7 +196,7 @@ def _cmd_coaction(cfg, max_words):
     L_Q = int(cfg.get("L_Q", 4))
     map_kind = cfg.get("map", "length")
     F_raw = cfg.get("F", [])
-    maxF = max((len(w) if isinstance(w, str) else int(w)) for w in F_raw) if F_raw else 0
+    maxF = max(map(_F_length, F_raw)) if F_raw else 0
     src_bound = max(L_P + 1, maxF, 2)
     source = enumerate_monoid(pres, src_bound, max_words=max_words)
     if map_kind == "length":

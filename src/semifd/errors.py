@@ -33,10 +33,6 @@ class BasisMismatchError(SemifdError):
     """Operator composition or comparison over incompatible bases."""
 
 
-class NormConvergenceError(SemifdError):
-    """Power iteration for the operator norm failed to converge."""
-
-
 class DegreeOverflowError(SemifdError):
     """A kernel coefficient or graded basis beyond the working degree."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import DegreeOverflowError, KernelSpecError, SemifdError
 from .linrep import Basis, SparseOperator, operator_norm
@@ -145,53 +144,51 @@ def monomial_norm(kernel: KernelSpec, alpha: Multidx) -> float:
     return math.sqrt(math.exp(-log_multinom) / kernel.c(n))
 
 
-def _multi_indices(d: int, degree: int) -> list[Multidx]:
-    out = [a for a in product(range(degree + 1), repeat=d) if sum(a) == degree]
-    return sorted(out)
+def _compositions(d: int, n: int) -> list[Multidx]:
+    """Exponent vectors of degree n in d variables, lex ascending."""
+    if d == 1:
+        return [(n,)]
+    return [(k,) + rest for k in range(n + 1) for rest in _compositions(d - 1, n - k)]
 
 
 def fock_basis(kernel: KernelSpec, D: int) -> Basis:
     """Normalized monomial basis up to degree D, ordered by degree then lex."""
-    labels = []
-    for n in range(D + 1):
-        kernel.c(n)  # fail early if the degree is out of range
-        labels.extend(_multi_indices(kernel.d, n))
-    return Basis(("fock", kernel.fingerprint), tuple(labels))
+    kernel.c(max(D, 0))  # fail early if the degree is out of range
+    labels = tuple(a for n in range(D + 1) for a in _compositions(kernel.d, n))
+    return Basis(("fock", kernel.fingerprint), labels)
+
+
+def _multiplication(kernel: KernelSpec, phi: Polynomial, dom: Basis, cod: Basis) -> SparseOperator:
+    """Multiplication by phi between Fock bases, dom a prefix of cod; images
+    beyond cod are dropped. Entries are c ||z^(alpha+beta)|| / ||z^alpha||."""
+    if phi.d != kernel.d:
+        raise SemifdError("polynomial has %d variables, kernel has %d" % (phi.d, kernel.d))
+    norms = [monomial_norm(kernel, a) for a in cod.labels]
+    entries = {}
+    for col, alpha in enumerate(dom.labels):
+        for beta, c in phi.coeffs.items():
+            target = tuple(x + y for x, y in zip(alpha, beta))
+            if cod.contains(target):
+                row = cod.index_of(target)
+                entries[(row, col)] = c * norms[row] / norms[col]
+    return SparseOperator(dom, cod, entries)
 
 
 def mult_operator(kernel: KernelSpec, phi: Polynomial, D: int) -> SparseOperator:
     """Exact matrix of multiplication by phi from the degree<=D basis into the
     degree<=(D + deg phi) basis, in normalized monomial coordinates."""
-    if phi.d != kernel.d:
-        raise SemifdError("polynomial has %d variables, kernel has %d" % (phi.d, kernel.d))
-    dom = fock_basis(kernel, D)
-    cod = fock_basis(kernel, D + phi.degree)
-    entries = {}
-    for col, alpha in enumerate(dom.labels):
-        na = monomial_norm(kernel, alpha)
-        for beta, c in phi.coeffs.items():
-            target = tuple(x + y for x, y in zip(alpha, beta))
-            entries[(cod.index_of(target), col)] = (
-                entries.get((cod.index_of(target), col), 0)
-                + c * monomial_norm(kernel, target) / na
-            )
-    return SparseOperator(dom, cod, entries)
+    return _multiplication(kernel, phi, fock_basis(kernel, D), fock_basis(kernel, D + phi.degree))
 
 
 def multiplier_norm_lower(kernel: KernelSpec, phi: Polynomial, D: int, tol: float = 1e-9) -> float:
     """Norm of the compression of M_phi to the degree<=D subspace.
 
     The subspace is coinvariant for multipliers, so these values are
-    nondecreasing in D and converge to the multiplier norm from below.
+    nondecreasing in D and converge to the multiplier norm from below. Only
+    the kernel coefficients c_0..c_D enter.
     """
-    dom = fock_basis(kernel, D)
-    full = mult_operator(kernel, phi, D)
-    compressed = {}
-    for (r, c), v in full.entries.items():
-        label = full.codomain.labels[r]
-        if sum(label) <= D:
-            compressed[(dom.index_of(label), c)] = v
-    return operator_norm(SparseOperator(dom, dom, compressed), tol=tol)
+    basis = fock_basis(kernel, D)
+    return operator_norm(_multiplication(kernel, phi, basis, basis), tol=tol)
 
 
 def homogeneous_decompose(phi: Polynomial) -> list[tuple[int, Polynomial]]:

@@ -185,6 +185,13 @@ def test_criterion_11_monomial_norms():
                 assert abs(sf.monomial_norm(kernel, alpha) - value) <= 1e-12
 
 
+def test_criterion_13_hardy_norm_at_scale():
+    with criterion(13, "Hardy norm at 3001 dims", budget=1.0):
+        phi = sf.Polynomial(1, {(0,): 1.0, (1,): 1.0})
+        val = sf.multiplier_norm_lower(sf.hardy(), phi, 3000)
+        assert abs(val - 2 * math.cos(math.pi / 6003)) <= 1e-12
+
+
 CRITERION_CONFIGS = [
     {"command": "divisors", "presentation": {"builtin": "nat", "d": 2}, "L": 4},
     {"command": "divisors", "presentation": {"builtin": "free", "n": 2}, "L": 4},

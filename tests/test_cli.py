@@ -125,6 +125,20 @@ def test_resource_limit_is_status_3(tmp_path, capsys):
     assert "resource limit" in err
 
 
+def test_fdapprox_sizes_tables_by_word_length(tmp_path, capsys):
+    # "s1.s2.s1" has length 3, not 8: the table is enumerated to 7, which
+    # fits under the word cap, where length 12 would not
+    config = {
+        "command": "fdapprox",
+        "presentation": {"builtin": "braid", "n": 3},
+        "F": ["s1.s2.s1"],
+        "L": 4,
+    }
+    status, report, err = run(tmp_path, capsys, config, extra=("--max-words", "1000"))
+    assert status == 0, err
+    assert report["tables"]["dim_Y_F"] == 6
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     config = {
         "command": "fdapprox",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -95,6 +96,18 @@ def test_fock_basis_order():
     assert b.labels == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
 
 
+@pytest.mark.parametrize("d, D", [(1, 40), (2, 12), (3, 9)])
+def test_fock_basis_dimension_and_lex_order(d, D):
+    labels = sf.fock_basis(sf.drury_arveson(d), D).labels
+    assert len(labels) == math.comb(D + d, d)
+    # brute force: every exponent vector of degree <= D, by degree then lex
+    brute = sorted(
+        (a for a in itertools.product(range(D + 1), repeat=d) if sum(a) <= D),
+        key=lambda a: (sum(a), a),
+    )
+    assert list(labels) == brute
+
+
 # -- multiplication operators --------------------------------------------------------
 
 
@@ -147,6 +160,32 @@ def test_hardy_bounds_approach_circle_sup():
         val = sf.multiplier_norm_lower(sf.hardy(), phi, 200)
         assert val <= target + 1e-10
         assert val == pytest.approx(target, abs=1e-2)
+
+
+@pytest.mark.parametrize("D", [10, 200, 3000])
+def test_hardy_one_plus_z_closed_form(D):
+    # the compression of M_{1+z} to degree <= D is I + S on C^{D+1}, with
+    # norm 2 cos(pi / (2D + 3))
+    phi = poly(1, {(0,): 1.0, (1,): 1.0})
+    val = sf.multiplier_norm_lower(sf.hardy(), phi, D)
+    assert val == pytest.approx(2 * math.cos(math.pi / (2 * D + 3)), rel=1e-12)
+
+
+def test_custom_kernel_needs_coefficients_up_to_D_only():
+    D = 6
+    phi = poly(1, {(0,): 1.0, (2,): 0.5})
+    k = sf.KernelSpec(1, "custom", explicit=tuple(1.0 / (n + 1) for n in range(D + 1)))
+    val = sf.multiplier_norm_lower(k, phi, D)
+    # dense oracle: the square compression assembled from the norm formula
+    norms = [math.sqrt(n + 1) for n in range(D + 1)]
+    M = np.zeros((D + 1, D + 1))
+    for col in range(D + 1):
+        M[col, col] += 1.0
+        if col + 2 <= D:
+            M[col + 2, col] += 0.5 * norms[col + 2] / norms[col]
+    assert val == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-12)
+    with pytest.raises(sf.DegreeOverflowError):
+        sf.multiplier_norm_lower(k, phi, D + 1)
 
 
 def test_dirichlet_shift_norm_exceeds_one():

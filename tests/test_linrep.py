@@ -176,11 +176,51 @@ def test_operator_norm_matches_gram_oracle():
         assert sf.operator_norm(A) == pytest.approx(gram_operator_norm(M), abs=1e-8)
 
 
-def test_power_iteration_path():
+def test_operator_norm_large_diagonal():
     n = 2100
     b = sf.Basis(("big",), tuple(range(n)))
     A = sf.SparseOperator(b, b, {(i, i): (i + 1) / n for i in range(n)})
-    assert sf.operator_norm(A) == pytest.approx(1.0, rel=1e-6)
+    assert sf.operator_norm(A) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, width",
+    [(300, 0), (300, 3), (300, 14), (60, 2), (300, 15), (300, 200), (12, 1), (7, 0)],
+)
+def test_banded_and_dense_gram_match_svd(n, width):
+    # the Gram matrix has half-bandwidth kd = 2 * width; band storage is used
+    # when 10 (kd + 1) <= n, so the first four cases are banded, the rest
+    # dense; the Gram matrix is formed densely for n <= 64, sparsely above
+    rng = np.random.default_rng(n + width)
+    b = sf.Basis(("band", n, width), tuple(range(n)))
+    entries = {
+        (i, j): complex(rng.normal(), rng.normal())
+        for i in range(n)
+        for j in range(max(0, i - width), min(n, i + width + 1))
+    }
+    A = sf.SparseOperator(b, b, entries)
+    oracle = float(np.linalg.svd(A.to_dense(), compute_uv=False)[0])
+    assert sf.operator_norm(A) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m", [(40, 90), (70, 150)])
+def test_operator_norm_rectangular_matches_svd(n, m):
+    rng = np.random.default_rng(n)
+    b1 = sf.Basis(("r", n), tuple(range(n)))
+    b2 = sf.Basis(("r", m), tuple(range(m)))
+    entries = {(int(rng.integers(m)), int(rng.integers(n))): complex(rng.normal()) for _ in range(3 * m)}
+    tall = sf.SparseOperator(b1, b2, entries)
+    for A in (tall, tall.adjoint()):
+        oracle = float(np.linalg.svd(A.to_dense(), compute_uv=False)[0])
+        assert sf.operator_norm(A) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_operator_norm_refuses_uncertifiable_tol():
+    b = sf.Basis(("t",), tuple(range(50)))
+    A = sf.SparseOperator(b, b, {(i, i): 1.0 for i in range(50)})
+    assert sf.operator_norm(A, tol=1e-12) == 1.0
+    with pytest.raises(sf.SemifdError, match="not certified"):
+        sf.operator_norm(A, tol=1e-16)
 
 
 def test_triplet_serialization_is_sorted(free2):
