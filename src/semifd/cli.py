@@ -17,7 +17,7 @@ import numpy as np
 from . import coaction as coact
 from . import fdapprox, funcalg
 from .enumeration import EnumerationTable, abelianization, enumerate_monoid, length_map
-from .errors import PresentationError, ResourceLimitError, SemifdError
+from .errors import ControlledMapError, PresentationError, ResourceLimitError, SemifdError
 from .funcalg import KernelSpec, Polynomial
 from .linrep import operator_norm
 from .presentations import MonoidPresentation, builtin, parse_presentation
@@ -50,15 +50,26 @@ def _load_presentation(cfg) -> MonoidPresentation:
     raise ConfigError('"presentation" needs "builtin", "path" or inline "generators"')
 
 
+def _count(cfg, key: str, default: int) -> int:
+    """A nonnegative integer field of the config."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError('"%s" must be a nonnegative integer, got %r' % (key, value))
+    return value
+
+
 def _parse_F(table: EnumerationTable, raw) -> list:
     out = []
     for item in raw:
-        if isinstance(item, int):
+        if isinstance(item, int) and not isinstance(item, bool):
             if item < 0:
                 raise ConfigError("negative length in F")
             word = (0,) * item
         elif isinstance(item, str):
-            word = table.presentation.parse_word(item)
+            try:
+                word = table.presentation.parse_word(item)
+            except PresentationError as exc:
+                raise ConfigError("bad F: %s" % exc)
         else:
             raise ConfigError("F entries must be words or nonnegative integers")
         out.append(table.element_from_word(word))
@@ -113,7 +124,7 @@ class CheckRunner:
 
 def _cmd_enumerate(cfg, max_words):
     pres = _load_presentation(cfg.get("presentation"))
-    L = int(cfg.get("L", 8))
+    L = _count(cfg, "L", 8)
     table = enumerate_monoid(pres, L, max_words=max_words)
     runner = CheckRunner()
     runner.run("cancellation", lambda: table.check_cancellation() or "exact")
@@ -124,7 +135,7 @@ def _cmd_enumerate(cfg, max_words):
 
 def _cmd_divisors(cfg, max_words):
     pres = _load_presentation(cfg.get("presentation"))
-    L = int(cfg.get("L", 4))
+    L = _count(cfg, "L", 4)
     table = enumerate_monoid(pres, L, max_words=max_words)
     runner = CheckRunner()
     sizes = []
@@ -156,7 +167,7 @@ def _cmd_divisors(cfg, max_words):
 
 def _cmd_fdapprox(cfg, max_words, norm_tol):
     pres = _load_presentation(cfg.get("presentation"))
-    L = int(cfg.get("L", 5))
+    L = _count(cfg, "L", 5)
     if "F" not in cfg:
         raise ConfigError('fdapprox needs "F"')
     bound = max(L, max(map(_F_length, cfg["F"])) if cfg["F"] else L)
@@ -192,8 +203,8 @@ def _cmd_fdapprox(cfg, max_words, norm_tol):
 
 def _cmd_coaction(cfg, max_words):
     pres = _load_presentation(cfg.get("presentation"))
-    L_P = int(cfg.get("L_P", 3))
-    L_Q = int(cfg.get("L_Q", 4))
+    L_P = _count(cfg, "L_P", 3)
+    L_Q = _count(cfg, "L_Q", 4)
     map_kind = cfg.get("map", "length")
     F_raw = cfg.get("F", [])
     maxF = max(map(_F_length, F_raw)) if F_raw else 0
@@ -210,7 +221,10 @@ def _cmd_coaction(cfg, max_words):
         target = enumerate_monoid(
             nat_pres(len(pres.generators)), src_bound + L_Q + 1, max_words=max_words
         )
-        phi = abelianization(source, target)
+        try:
+            phi = abelianization(source, target)
+        except ControlledMapError as exc:
+            raise ConfigError("bad map: %s" % exc)
     else:
         raise ConfigError('"map" must be "length" or "abelianization"')
     spec = coact.CoactionSpec(phi)
@@ -244,7 +258,7 @@ def _cmd_coaction(cfg, max_words):
 def _cmd_funcalg(cfg, norm_tol):
     kernel = _load_kernel(cfg.get("kernel", "hardy"))
     phi = _load_polynomial(cfg.get("phi", []), kernel.d)
-    D = int(cfg.get("D", 8))
+    D = _count(cfg, "D", 8)
     runner = CheckRunner()
     tables = {}
 
@@ -258,14 +272,17 @@ def _cmd_funcalg(cfg, norm_tol):
         return {"D": D, "norm_lower": values[-1]}
 
     def covariance():
-        Dc = min(D, 8)
+        # G* (P M_phi P) G = P M_{phi o conj(zeta)} P on degree <= 8; G = diag(zeta^|alpha|)
+        basis = funcalg.fock_basis(kernel, min(D, 8))
+        M = funcalg.multiplication(kernel, phi, basis, basis).to_dense()
+        degrees = np.array([sum(a) for a in basis.labels])
         for k in range(8):
             zeta = complex(np.exp(2j * np.pi * k / 8))
-            G_dom = funcalg.circle_action_matrix(kernel, Dc, zeta)
-            G_cod = funcalg.circle_action_matrix(kernel, Dc + phi.degree, zeta)
-            lhs = G_cod.adjoint() @ funcalg.mult_operator(kernel, phi, Dc) @ G_dom
-            rhs = funcalg.mult_operator(kernel, funcalg.circle_action(phi, zeta.conjugate()), Dc)
-            err = float(np.abs(lhs.to_dense() - rhs.to_dense()).max())
+            G = zeta**degrees
+            lhs = G.conj()[:, None] * M * G
+            rotated = funcalg.circle_action(phi, zeta.conjugate())
+            rhs = funcalg.multiplication(kernel, rotated, basis, basis).to_dense()
+            err = float(np.abs(lhs - rhs).max())
             if err > 1e-12:
                 raise SemifdError("covariance violated at 8th root %d: err %r" % (k, err))
         return "within 1e-12"
@@ -331,7 +348,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to JSON config, or - for stdin")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
-    parser.add_argument("--max-words", type=int, default=10**6, dest="max_words")
+    parser.add_argument(
+        "--max-words", type=int, default=10**6, dest="max_words", help="cap on monoid table entries"
+    )
     parser.add_argument("--norm-tol", type=float, default=1e-9, dest="norm_tol")
     parser.add_argument(
         "--timing",

@@ -1,16 +1,21 @@
 """Exact enumeration of homogeneous monoids up to a length bound.
 
-Elements are congruence classes of words. Because every relation preserves
-word length, the congruence generated by the relations restricts to each
-fixed-length word set, and a class is exactly the orbit of any of its words
-under single-relation rewrites. Canonical representative: the shortlex-minimal
-word of the class (generator order = declaration order).
+Elements are congruence classes of words; the canonical representative of a
+class is its shortlex-minimal word (generator order = declaration order).
+Because every relation preserves length, the table is closed level by level
+(Froidure & Pin, *Algorithms for computing finite semigroups*, 1997). Every
+length-n class contains a word canon(p).g with p of length n-1, and two such
+pairs (p, g) are congruent exactly when a chain of identifications
+(x.u', a) ~ (x.v', b), for a relation u'a = v'b and an element x of length
+n-|u|, joins them. Union-find over the pairs of a level gives its classes
+without listing their words, and the smallest pair of each set spells the
+canonical word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 
 from .errors import (
     CancellativityError,
@@ -34,12 +39,20 @@ class MonoidElement:
         return len(self.word)
 
 
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 class EnumerationTable:
     """All monoid elements of length <= L, with exact multiplication.
 
-    Immutable after construction; every query is pure. Construction walks
-    lengths 1..L: each length-n class is reached as (length n-1 class) * g,
-    and the full class is recovered by breadth-first rewriting.
+    Immutable after construction; every query is pure. Elements are indexed
+    in (length, shortlex) order. The right and left Cayley graphs x -> x.g
+    and x -> g.x (for |x| < L) are stored; multiplication walks the right
+    one, and divisor sets and witnesses are read off both.
     """
 
     def __init__(self, presentation: MonoidPresentation, L: int, max_words: int = 10**6):
@@ -48,72 +61,57 @@ class EnumerationTable:
         self.presentation = presentation
         self.L = L
         self.max_words = max_words
-        self.elements: list[MonoidElement] = []
-        self.by_length: list[list[int]] = [[] for _ in range(L + 1)]
-        self._succ: dict[tuple[int, int], int] = {}
-        self._divisor_cache: dict[int, tuple[frozenset, frozenset]] = {}
-        self._rewrites = []
-        for lhs, rhs in presentation.relations:
-            self._rewrites.append((lhs, rhs))
-            self._rewrites.append((rhs, lhs))
+        self.elements: list[MonoidElement] = [MonoidElement(0, ())]
+        self.by_length: list[range] = [range(1)]
+        self._right: list[tuple[int, ...]] = []  # _right[x][g] = x.g
+        self._left: list[tuple[int, ...]] = []  # _left[x][g] = g.x
+        self._divisor_cache: tuple[dict, dict] = ({}, {})
         self._enumerate()
 
     # -- construction ------------------------------------------------------
 
-    def _class_orbit(self, seed: Word) -> set[Word]:
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            w = frontier.pop()
-            for u, v in self._rewrites:
-                k = len(u)
-                for i in range(len(w) - k + 1):
-                    if w[i : i + k] == u:
-                        w2 = w[:i] + v + w[i + k :]
-                        if w2 not in orbit:
-                            orbit.add(w2)
-                            frontier.append(w2)
-        return orbit
+    def _walk(self, x: int, word: Word) -> int:
+        for g in word:
+            x = self._right[x][g]
+        return x
 
     def _enumerate(self):
-        identity = MonoidElement(0, ())
-        self.elements.append(identity)
-        self.by_length[0].append(0)
         ngen = len(self.presentation.generators)
-        total_words = 1
+        # relation u'a = v'b identifies (x.u', a) with (x.v', b)
+        joins = [(u[:-1], u[-1], v[:-1], v[-1]) for u, v in self.presentation.relations if u != v]
+        parent_pair = [(0, 0)]  # (p, g) with canon(x) = canon(p).g
         for n in range(1, self.L + 1):
-            seen: dict[Word, int] = {}
-            for p_idx in self.by_length[n - 1]:
-                p_word = self.elements[p_idx].word
-                for g in range(ngen):
-                    w = p_word + (g,)
-                    idx = seen.get(w)
-                    if idx is None:
-                        orbit = self._class_orbit(w)
-                        total_words += len(orbit)
-                        if total_words > self.max_words:
-                            raise ResourceLimitError(
-                                "word count exceeded cap %d at length %d" % (self.max_words, n)
-                            )
-                        canon = min(orbit)
-                        idx = len(self.elements)
-                        self.elements.append(MonoidElement(idx, canon))
-                        self.by_length[n].append(idx)
-                        for w2 in orbit:
-                            seen[w2] = idx
-                    self._succ[(p_idx, g)] = idx
-            # re-sort so indices within a length follow shortlex order
-            order = sorted(self.by_length[n], key=lambda i: self.elements[i].word)
-            if order != self.by_length[n]:
-                remap = {old: new for new, old in zip(sorted(order), order)}
-                new_elements = list(self.elements)
-                for old, new in remap.items():
-                    new_elements[new] = MonoidElement(new, self.elements[old].word)
-                self.elements = new_elements
-                self.by_length[n] = sorted(order)
-                self._succ = {
-                    (remap.get(p, p), g): remap.get(q, q) for (p, g), q in self._succ.items()
-                }
+            level = self.by_length[n - 1]
+            if level.stop * ngen > self.max_words:
+                raise ResourceLimitError(
+                    "table entries exceeded cap %d at length %d" % (self.max_words, n)
+                )
+            # pair (p, g) is number (p - level.start) * ngen + g; roots are set minima
+            root = list(range(len(level) * ngen))
+            for u, a, v, b in joins:
+                if len(u) < n:
+                    for x in self.by_length[n - 1 - len(u)]:
+                        i = _find(root, (self._walk(x, u) - level.start) * ngen + a)
+                        j = _find(root, (self._walk(x, v) - level.start) * ngen + b)
+                        root[max(i, j)] = min(i, j)
+            ids = []  # pair -> element; pair order is shortlex order of canon(p).g
+            for i in range(len(root)):
+                r = root[i] = root[root[i]]  # roots of all earlier pairs are final
+                if r == i:
+                    p, g = divmod(i, ngen)
+                    p += level.start
+                    ids.append(len(self.elements))
+                    self.elements.append(MonoidElement(ids[i], self.elements[p].word + (g,)))
+                    parent_pair.append((p, g))
+                else:
+                    ids.append(ids[r])
+            self.by_length.append(range(level.stop, len(self.elements)))
+            self._right.extend(tuple(ids[k : k + ngen]) for k in range(0, len(ids), ngen))
+            # g.x = (g.p).h where canon(x) = canon(p).h
+            for x in level:
+                p, h = parent_pair[x]
+                row = self._right[0] if x == 0 else tuple(self._right[q][h] for q in self._left[p])
+                self._left.append(row)
 
     # -- identity and lookup ------------------------------------------------
 
@@ -136,10 +134,7 @@ class EnumerationTable:
         """Canonical element of an arbitrary word (length <= L)."""
         if len(word) > self.L:
             raise LengthBoundError("word of length %d exceeds bound %d" % (len(word), self.L))
-        idx = 0
-        for g in word:
-            idx = self._succ[(idx, g)]
-        return self.elements[idx]
+        return self.elements[self._walk(0, word)]
 
     def element_from_str(self, text: str) -> MonoidElement:
         return self.element_from_word(self.presentation.parse_word(text))
@@ -150,7 +145,7 @@ class EnumerationTable:
     def elements_up_to(self, L: int) -> list[MonoidElement]:
         if L > self.L:
             raise LengthBoundError("requested level %d exceeds bound %d" % (L, self.L))
-        return [self.elements[i] for n in range(L + 1) for i in self.by_length[n]]
+        return self.elements[: self.by_length[L].stop]
 
     # -- multiplication ------------------------------------------------------
 
@@ -159,10 +154,7 @@ class EnumerationTable:
             raise LengthBoundError(
                 "product length %d exceeds bound %d" % (x.length + y.length, self.L)
             )
-        idx = x.index
-        for g in y.word:
-            idx = self._succ[(idx, g)]
-        return self.elements[idx]
+        return self.elements[self._walk(x.index, y.word)]
 
     def left_divides(self, p: MonoidElement, r: MonoidElement) -> MonoidElement | None:
         """Return q with r = p*q if it exists (unique by left cancellation)."""
@@ -177,74 +169,75 @@ class EnumerationTable:
 
     # -- divisor sets --------------------------------------------------------
 
-    def _divisors(self, p: MonoidElement) -> tuple[frozenset, frozenset]:
-        cached = self._divisor_cache.get(p.index)
-        if cached is not None:
-            return cached
-        rights, lefts = set(), set()
-        for k in range(p.length + 1):
-            for q_idx in self.by_length[p.length - k]:
-                q = self.elements[q_idx]
-                for r_idx in self.by_length[k]:
-                    r = self.elements[r_idx]
-                    if self.multiply(q, r) == p:
-                        rights.add(r)
-                        lefts.add(q)
-        result = (frozenset(rights), frozenset(lefts))
-        self._divisor_cache[p.index] = result
-        return result
+    @cached_property
+    def _predecessors(self) -> tuple[list[list[int]], list[list[int]]]:
+        """For each p: the x with g.x = p, and the x with x.g = p."""
+        left = [[] for _ in self.elements]
+        right = [[] for _ in self.elements]
+        for preds, graph in ((left, self._left), (right, self._right)):
+            for x, row in enumerate(graph):
+                for q in row:
+                    preds[q].append(x)
+        return left, right
+
+    def _divisors(self, p: MonoidElement, side: int) -> frozenset:
+        """p plus the divisor sets of its predecessors on one side, memoised
+        (predecessors are shorter, so they are finished first)."""
+        cache, preds = self._divisor_cache[side], self._predecessors[side]
+        stack = [p.index]
+        while stack:
+            x = stack[-1]
+            todo = [y for y in preds[x] if y not in cache]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if x not in cache:
+                cache[x] = frozenset((self.elements[x],)).union(*(cache[y] for y in preds[x]))
+        return cache[p.index]
 
     def right_divisors(self, p: MonoidElement) -> frozenset:
-        """R_p = {r : p = q*r for some q}. Always contains the identity and p."""
-        return self._divisors(p)[0]
+        """R_p = {r : p = q*r for some q}. Always contains the identity and p.
+
+        p = (g q')r makes r a right divisor of q'r, a left-Cayley predecessor of p.
+        """
+        return self._divisors(p, 0)
 
     def left_divisors(self, p: MonoidElement) -> frozenset:
         """L_p = {q : p = q*r for some r}; in bijection with R_p."""
-        return self._divisors(p)[1]
+        return self._divisors(p, 1)
 
     # -- desk-scale witnesses -------------------------------------------------
 
     def check_cancellation(self):
-        """Verify xy = xz => y = z and yx = zx => y = z on all cached products.
+        """Verify xy = xz => y = z and yx = zx => y = z for |x| + |y| <= L.
 
-        Cancellativity is not decidable from a presentation in general; a
-        failure here aborts downstream constructions.
+        By induction on |x|, this holds exactly when y -> g.y and y -> y.g are
+        injective on |y| <= L-1 for every generator g. Cancellativity is not
+        decidable from a presentation in general; a failure here aborts
+        downstream constructions.
         """
-        for x in self.elements:
-            seen_left: dict[int, int] = {}
-            seen_right: dict[int, int] = {}
-            for n in range(self.L - x.length + 1):
-                for y_idx in self.by_length[n]:
-                    y = self.elements[y_idx]
-                    xy = self.multiply(x, y).index
-                    if xy in seen_left and seen_left[xy] != y_idx:
-                        raise CancellativityError(
-                            "left cancellation fails at x=%s" % self.str_of(x)
-                        )
-                    seen_left[xy] = y_idx
-                    yx = self.multiply(y, x).index
-                    if yx in seen_right and seen_right[yx] != y_idx:
-                        raise CancellativityError(
-                            "right cancellation fails at x=%s" % self.str_of(x)
-                        )
-                    seen_right[yx] = y_idx
+        for side, graph in (("left", self._left), ("right", self._right)):
+            for g, name in enumerate(self.presentation.generators):
+                images = [row[g] for row in graph]
+                if len(set(images)) != len(images):
+                    raise CancellativityError("%s cancellation fails at g=%s" % (side, name))
 
     def check_associativity(self):
-        """(xy)z = x(yz) for all triples with |x|+|y|+|z| <= L."""
-        for i in range(self.L + 1):
-            for j in range(self.L + 1 - i):
-                for k in range(self.L + 1 - i - j):
-                    for x_idx, y_idx, z_idx in product(
-                        self.by_length[i], self.by_length[j], self.by_length[k]
-                    ):
-                        x, y, z = self.elements[x_idx], self.elements[y_idx], self.elements[z_idx]
-                        if self.multiply(self.multiply(x, y), z) != self.multiply(
-                            x, self.multiply(y, z)
-                        ):
-                            raise CancellativityError(
-                                "associativity fails at (%s, %s, %s)"
-                                % (self.str_of(x), self.str_of(y), self.str_of(z))
-                            )
+        """(xy)z = x(yz) for all triples with |x|+|y|+|z| <= L.
+
+        Products walk the right Cayley graph along words, so this holds
+        exactly when x.u = x.v for every relation u = v and |x| + |u| <= L:
+        then every walk from x is constant on congruence classes.
+        """
+        word_str = self.presentation.word_str
+        for u, v in self.presentation.relations:
+            for x in self.elements_up_to(self.L - len(u)) if len(u) <= self.L else ():
+                if self._walk(x.index, u) != self._walk(x.index, v):
+                    raise CancellativityError(
+                        "associativity fails at x=%s for %s = %s"
+                        % (self.str_of(x), word_str(u), word_str(v))
+                    )
 
     # -- common right multiples -----------------------------------------------
 
@@ -282,7 +275,11 @@ class EnumerationTable:
 def enumerate_monoid(
     presentation: MonoidPresentation, L: int, max_words: int = 10**6
 ) -> EnumerationTable:
-    """Build the exact enumeration table up to length L."""
+    """Build the exact enumeration table up to length L.
+
+    ResourceLimitError before a level whose table entries (elements of
+    smaller length times generators) would exceed max_words.
+    """
     return EnumerationTable(presentation, L, max_words=max_words)
 
 

@@ -14,7 +14,7 @@ class LengthBoundError(SemifdError):
 
 
 class ResourceLimitError(SemifdError):
-    """Enumeration exceeded the configured word-count cap."""
+    """Enumeration exceeded the configured table-entry cap."""
 
 
 class CancellativityError(SemifdError):

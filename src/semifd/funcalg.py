@@ -158,9 +158,10 @@ def fock_basis(kernel: KernelSpec, D: int) -> Basis:
     return Basis(("fock", kernel.fingerprint), labels)
 
 
-def _multiplication(kernel: KernelSpec, phi: Polynomial, dom: Basis, cod: Basis) -> SparseOperator:
+def multiplication(kernel: KernelSpec, phi: Polynomial, dom: Basis, cod: Basis) -> SparseOperator:
     """Multiplication by phi between Fock bases, dom a prefix of cod; images
-    beyond cod are dropped. Entries are c ||z^(alpha+beta)|| / ||z^alpha||."""
+    beyond cod are dropped, so dom = cod gives the square compression. Entries
+    are c ||z^(alpha+beta)|| / ||z^alpha||."""
     if phi.d != kernel.d:
         raise SemifdError("polynomial has %d variables, kernel has %d" % (phi.d, kernel.d))
     norms = [monomial_norm(kernel, a) for a in cod.labels]
@@ -177,7 +178,7 @@ def _multiplication(kernel: KernelSpec, phi: Polynomial, dom: Basis, cod: Basis)
 def mult_operator(kernel: KernelSpec, phi: Polynomial, D: int) -> SparseOperator:
     """Exact matrix of multiplication by phi from the degree<=D basis into the
     degree<=(D + deg phi) basis, in normalized monomial coordinates."""
-    return _multiplication(kernel, phi, fock_basis(kernel, D), fock_basis(kernel, D + phi.degree))
+    return multiplication(kernel, phi, fock_basis(kernel, D), fock_basis(kernel, D + phi.degree))
 
 
 def multiplier_norm_lower(kernel: KernelSpec, phi: Polynomial, D: int, tol: float = 1e-9) -> float:
@@ -188,7 +189,7 @@ def multiplier_norm_lower(kernel: KernelSpec, phi: Polynomial, D: int, tol: floa
     the kernel coefficients c_0..c_D enter.
     """
     basis = fock_basis(kernel, D)
-    return operator_norm(_multiplication(kernel, phi, basis, basis), tol=tol)
+    return operator_norm(multiplication(kernel, phi, basis, basis), tol=tol)
 
 
 def homogeneous_decompose(phi: Polynomial) -> list[tuple[int, Polynomial]]:

@@ -4,7 +4,9 @@ These deliberately avoid the package's incremental construction: classes are
 computed by global union-find over all words of a given length, divisors by
 scanning all factorizations of all representatives, kernel Gram entries by
 expanding the kernel power series with dict convolution, and sup norms by a
-dense grid on the circle.
+dense grid on the circle. The table oracles at the end are the package's
+former all-pairs and all-triples loops over a table's products: slow, but
+they test the definitions directly rather than their Cayley-graph reductions.
 """
 
 from __future__ import annotations
@@ -88,6 +90,38 @@ def brute_left_divisors(ngen: int, relations, p_word: tuple) -> set:
         for i in range(n + 1):
             out.add(canon_by_len[i][w[:i]])
     return out
+
+
+def table_divisors(table, p) -> tuple[set, set]:
+    """(R_p, L_p) by scanning every product q*r of length at most |p|."""
+    rights, lefts = set(), set()
+    for q in table.elements_up_to(p.length):
+        for r in table.elements_up_to(p.length - q.length):
+            if table.multiply(q, r) == p:
+                rights.add(r)
+                lefts.add(q)
+    return rights, lefts
+
+
+def table_cancellative(table) -> bool:
+    """xy = xz => y = z and yx = zx => y = z over all pairs within the bound."""
+    for x in table.elements:
+        ys = table.elements_up_to(table.L - x.length)
+        if len({table.multiply(x, y) for y in ys}) != len(ys):
+            return False
+        if len({table.multiply(y, x) for y in ys}) != len(ys):
+            return False
+    return True
+
+
+def table_associative(table) -> bool:
+    """(xy)z = x(yz) over all triples with |x|+|y|+|z| <= L."""
+    for x in table.elements:
+        for y in table.elements_up_to(table.L - x.length):
+            for z in table.elements_up_to(table.L - x.length - y.length):
+                if table.multiply(table.multiply(x, y), z) != table.multiply(x, table.multiply(y, z)):
+                    return False
+    return True
 
 
 def circle_sup_norm(phi, points: int = 4096) -> float:

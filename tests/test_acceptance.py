@@ -9,8 +9,10 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import semifd as sf
 from semifd import cli
@@ -192,6 +194,17 @@ def test_criterion_13_hardy_norm_at_scale():
         assert abs(val - 2 * math.cos(math.pi / 6003)) <= 1e-12
 
 
+def test_criterion_14_enumeration_frontier():
+    with criterion(14, "nat(3) L=30 and braid(4) L=9 tables", budget=2.0):
+        nat3 = sf.enumerate_monoid(sf.nat(3), 30)
+        assert nat3.counts() == [math.comb(n + 2, 2) for n in range(31)]
+        assert len(nat3.elements) == 5456
+        braid4 = sf.enumerate_monoid(sf.braid(4), 9)
+        for table in (nat3, braid4):
+            table.check_cancellation()
+            table.check_associativity()
+
+
 CRITERION_CONFIGS = [
     {"command": "divisors", "presentation": {"builtin": "nat", "d": 2}, "L": 4},
     {"command": "divisors", "presentation": {"builtin": "free", "n": 2}, "L": 4},
@@ -258,3 +271,16 @@ def test_criterion_12_determinism():
                 assert status == 0
                 renders.append((json.dumps(report, indent=2) + "\n").encode())
             assert renders[0] == renders[1]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("num", range(len(CRITERION_CONFIGS)))
+def test_criterion_12_reports_match_goldens(num, tmp_path):
+    # reports of CRITERION_CONFIGS saved before the union-find enumeration
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CRITERION_CONFIGS[num]))
+    out = tmp_path / "report.json"
+    assert cli.main(["--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / ("criterion_%02d.json" % num)).read_bytes()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from semifd.cli import main
 
 
@@ -192,3 +194,43 @@ def test_inline_presentation_document(tmp_path, capsys):
     status, report, _ = run(tmp_path, capsys, config)
     assert status == 0
     assert report["tables"]["counts"] == [1, 2, 4, 7, 12]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "enumerate", "presentation": {"builtin": "braid", "n": 3}, "L": -1},
+        {"command": "enumerate", "presentation": {"builtin": "braid", "n": 3}, "L": "x"},
+        {"command": "enumerate", "presentation": {"builtin": "braid", "n": 3}, "L": 2.5},
+        {"command": "fdapprox", "presentation": {"builtin": "nat", "d": 1}, "F": [True], "L": 3},
+        {"command": "fdapprox", "presentation": {"builtin": "braid", "n": 3}, "F": ["s1.s9"], "L": 3},
+        {"command": "coaction", "presentation": {"builtin": "braid", "n": 3}, "map": "abelianization"},
+    ],
+    ids=[
+        "negative-L",
+        "string-L",
+        "float-L",
+        "boolean-in-F",
+        "unknown-generator-in-F",
+        "abelianization-of-braid",
+    ],
+)
+def test_bad_input_is_one_line_config_error(tmp_path, capsys, config):
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 2
+    assert report is None
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_covariance_needs_coefficients_up_to_D_only(tmp_path, capsys):
+    # the covariance check works on the square compression to degree <= min(D, 8)
+    config = {
+        "command": "funcalg",
+        "kernel": {"name": "custom", "coefficients": [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4]},
+        "phi": [{"exponents": [0], "re": 1.0}, {"exponents": [3], "re": 0.5}],
+        "D": 6,
+    }
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 0, err
+    (check,) = [c for c in report["checks"] if c["name"] == "circle-covariance"]
+    assert check == {"name": "circle-covariance", "status": "pass", "witness": "within 1e-12"}

@@ -1,10 +1,20 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semifd as sf
 
-from oracles import brute_counts, brute_left_divisors, brute_right_divisors
+from oracles import (
+    brute_canonical_map,
+    brute_counts,
+    brute_left_divisors,
+    brute_right_divisors,
+    table_associative,
+    table_cancellative,
+    table_divisors,
+)
 
 
 def words(table, *texts):
@@ -47,6 +57,46 @@ def test_resource_cap():
         sf.enumerate_monoid(sf.free(2), 8, max_words=100)
 
 
+def test_resource_cap_counts_table_entries():
+    # free(2) to length 4 stores (1 + 2 + 4 + 8) * 2 = 30 right-multiplication entries
+    assert sf.enumerate_monoid(sf.free(2), 4, max_words=30).counts() == [1, 2, 4, 8, 16]
+    with pytest.raises(sf.ResourceLimitError, match="at length 4"):
+        sf.enumerate_monoid(sf.free(2), 4, max_words=29)
+
+
+@st.composite
+def small_presentations(draw):
+    k = draw(st.integers(1, 3))
+
+    def word(n):
+        return st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
+
+    pair = st.integers(1, 3).flatmap(lambda n: st.tuples(word(n), word(n)))
+    relations = tuple(draw(st.lists(pair, max_size=3)))
+    return sf.MonoidPresentation(tuple("abc"[:k]), relations), draw(st.integers(0, 5))
+
+
+@given(small_presentations())
+@settings(max_examples=60, deadline=None)
+def test_union_find_levels_match_brute_classes(case):
+    pres, L = case
+    table = sf.enumerate_monoid(pres, L)
+    ngen = len(pres.generators)
+    assert table.counts() == brute_counts(ngen, pres.relations, L)
+    for n in range(L + 1):
+        canon = brute_canonical_map(ngen, pres.relations, n)
+        assert [table.element(i).word for i in table.by_length[n]] == sorted(set(canon.values()))
+        for w, c in canon.items():
+            assert table.element_from_word(w).word == c
+    assert table_associative(table)
+    try:
+        table.check_cancellation()
+        cancellative = True
+    except sf.CancellativityError:
+        cancellative = False
+    assert cancellative == table_cancellative(table)
+
+
 # -- multiplication ------------------------------------------------------------
 
 
@@ -83,6 +133,36 @@ def test_cancellation_and_associativity_witnesses(braid3, nat2):
     braid3.check_cancellation()
     braid3.check_associativity()
     nat2.check_cancellation()
+
+
+ORACLE_TABLES = [
+    (sf.braid(3), 6),
+    (sf.braid(4), 5),
+    (sf.nat(3), 5),
+    (sf.free(2), 5),
+    (sf.raag(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]), 4),
+]
+
+
+@pytest.mark.parametrize("pres, L", ORACLE_TABLES, ids=lambda v: getattr(v, "kind", v))
+def test_cayley_graph_reads_match_table_oracles(pres, L):
+    table = sf.enumerate_monoid(pres, L)
+    for p in table.elements:
+        assert (table.right_divisors(p), table.left_divisors(p)) == table_divisors(table, p)
+    table.check_cancellation()
+    table.check_associativity()
+    assert table_cancellative(table) and table_associative(table)
+
+
+@pytest.mark.parametrize("lhs, side", [("a.b", "left"), ("b.a", "right")])
+def test_non_cancellative_presentation_fails_witness(lhs, side):
+    pres = sf.parse_presentation(json.dumps({"generators": ["a", "b"], "relations": [[lhs, "a.a"]]}))
+    table = sf.enumerate_monoid(pres, 4)
+    assert not table_cancellative(table)
+    with pytest.raises(sf.CancellativityError, match="%s cancellation fails at g=a" % side):
+        table.check_cancellation()
+    table.check_associativity()
+    assert table_associative(table)
 
 
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=6))
