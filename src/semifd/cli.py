@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -20,7 +21,7 @@ from .enumeration import EnumerationTable, abelianization, enumerate_monoid, len
 from .errors import ControlledMapError, PresentationError, ResourceLimitError, SemifdError
 from .funcalg import KernelSpec, Polynomial
 from .linrep import operator_norm
-from .presentations import MonoidPresentation, builtin, parse_presentation
+from .presentations import MonoidPresentation, builtin, free, nat, parse_presentation
 
 
 class ConfigError(Exception):
@@ -211,16 +212,10 @@ def _cmd_coaction(cfg, max_words):
     src_bound = max(L_P + 1, maxF, 2)
     source = enumerate_monoid(pres, src_bound, max_words=max_words)
     if map_kind == "length":
-        from .presentations import free as free_pres
-
-        target = enumerate_monoid(free_pres(1), src_bound + L_Q + 1, max_words=max_words)
+        target = enumerate_monoid(free(1), src_bound + L_Q + 1, max_words=max_words)
         phi = length_map(source, target)
     elif map_kind == "abelianization":
-        from .presentations import nat as nat_pres
-
-        target = enumerate_monoid(
-            nat_pres(len(pres.generators)), src_bound + L_Q + 1, max_words=max_words
-        )
+        target = enumerate_monoid(nat(len(pres.generators)), src_bound + L_Q + 1, max_words=max_words)
         try:
             phi = abelianization(source, target)
         except ControlledMapError as exc:
@@ -255,10 +250,14 @@ def _cmd_coaction(cfg, max_words):
     return runner, tables
 
 
-def _cmd_funcalg(cfg, norm_tol):
+def _cmd_funcalg(cfg, max_words, norm_tol):
     kernel = _load_kernel(cfg.get("kernel", "hardy"))
     phi = _load_polynomial(cfg.get("phi", []), kernel.d)
     D = _count(cfg, "D", 8)
+    if kernel.name == "custom" and len(kernel.explicit) <= D:
+        raise ConfigError("custom kernel lists c_0..c_%d, D = %d needs c_D" % (len(kernel.explicit) - 1, D))
+    if math.comb(D + kernel.d, kernel.d) > max_words:  # before any basis is built
+        raise ResourceLimitError("Fock basis of degree <= %d exceeds cap %d" % (D, max_words))
     runner = CheckRunner()
     tables = {}
 
@@ -310,7 +309,7 @@ _COMMANDS = {
     "divisors": lambda cfg, a: _cmd_divisors(cfg, a.max_words),
     "fdapprox": lambda cfg, a: _cmd_fdapprox(cfg, a.max_words, a.norm_tol),
     "coaction": lambda cfg, a: _cmd_coaction(cfg, a.max_words),
-    "funcalg": lambda cfg, a: _cmd_funcalg(cfg, a.norm_tol),
+    "funcalg": lambda cfg, a: _cmd_funcalg(cfg, a.max_words, a.norm_tol),
 }
 
 
@@ -349,7 +348,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to JSON config, or - for stdin")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
     parser.add_argument(
-        "--max-words", type=int, default=10**6, dest="max_words", help="cap on monoid table entries"
+        "--max-words", type=int, default=10**6, dest="max_words",
+        help="cap on monoid table entries and Fock-basis dimension",
     )
     parser.add_argument("--norm-tol", type=float, default=1e-9, dest="norm_tol")
     parser.add_argument(

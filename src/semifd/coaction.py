@@ -19,6 +19,7 @@ from .linrep import (
     graded_basis,
     identity_operator,
     lambda_op,
+    partial_map,
     tensor_basis,
     zero_operator,
 )
@@ -139,61 +140,60 @@ def character_reconstruction(spec: CoactionSpec, a: AlgebraElement) -> AlgebraEl
     return out
 
 
+def _growth(spec: CoactionSpec, L: int) -> int:
+    """Largest |phi(p)| over |p| <= L. Images have length >= 1 and lengths
+    add, so it is L max_g |phi(g)|, attained at g^L."""
+    if L > spec.source.L:
+        raise LengthBoundError("requested level %d exceeds bound %d" % (L, spec.source.L))
+    return L * max(img.length for img in spec.phi.gen_images)
+
+
 def fell_intertwiner_at(spec: CoactionSpec, L_P: int, L_Q: int) -> SparseOperator:
     """The isometry W: e_p (x) e_k -> e_p (x) e_{phi(p) k} on the truncation
     with domain levels (L_P, L_Q); the second-leg codomain level grows by the
     largest |phi(p)| over |p| <= L_P."""
-    growth = max(spec.phi(p).length for p in spec.source.elements_up_to(L_P))
+    growth = _growth(spec, L_P)
     if spec.target.L < L_Q + growth:
         raise LengthBoundError(
             "target enumerated to %d, need %d" % (spec.target.L, L_Q + growth)
         )
-    bP = graded_basis(spec.source, L_P)
-    bQ_dom = graded_basis(spec.target, L_Q)
+    bP, bQ = graded_basis(spec.source, L_P), graded_basis(spec.target, L_Q)
     bQ_cod = graded_basis(spec.target, L_Q + growth)
-    dom = tensor_basis(bP, bQ_dom)
-    cod = tensor_basis(bP, bQ_cod)
-    entries = {}
-    for i, p_label in enumerate(bP.labels):
-        p = spec.source.element(p_label)
+    ks = spec.target.elements_up_to(L_Q)
+    images: dict[int, list[int]] = {}  # phi(p) -> positions of phi(p) k, k in the L_Q ball
+    rows = []
+    for p in spec.source.elements_up_to(L_P):
         vp = spec.phi(p)
-        for j, k_label in enumerate(bQ_dom.labels):
-            k = spec.target.element(k_label)
-            image = spec.target.multiply(vp, k)
-            entries[(i * bQ_cod.dim + bQ_cod.index_of(image.index), i * bQ_dom.dim + j)] = 1.0
-    return SparseOperator(dom, cod, entries)
+        if vp.index not in images:
+            images[vp.index] = [spec.target.multiply(vp, k).index for k in ks]
+        rows.extend([p.index * bQ_cod.dim + r for r in images[vp.index]])
+    return partial_map(tensor_basis(bP, bQ), tensor_basis(bP, bQ_cod), rows)
 
 
 def fell_intertwiner(spec: CoactionSpec, L_P: int, L_Q: int) -> tuple[SparseOperator, dict]:
     """Build W at levels (L_P, L_Q) and certify, entrywise-exactly:
     (i) W*W = identity, (ii) W(lambda_p (x) I) = (lambda_p (x) V_p)W for every
-    generator p, with both sides embedded into a common graded codomain."""
+    generator p, both sides built into the codomain of W at level L_P + 1."""
     W = fell_intertwiner_at(spec, L_P, L_Q)
     report = {"L_P": L_P, "L_Q": L_Q}
     if W.adjoint() @ W != identity_operator(W.domain):
         raise SemifdError("Fell intertwiner is not an isometry")
     report["isometry"] = "exact"
 
-    growth = max(spec.phi(p).length for p in spec.source.elements_up_to(L_P))
-    growth_up = max(spec.phi(p).length for p in spec.source.elements_up_to(L_P + 1))
-    common_cod = tensor_basis(
-        graded_basis(spec.source, L_P + 1),
-        graded_basis(spec.target, L_Q + growth_up),
-    )
+    # lengths add in the target, so |phi(p)| + |phi(g)| <= growth_up
+    growth, growth_up = _growth(spec, L_P), _growth(spec, L_P + 1)
+    W_up = fell_intertwiner_at(spec, L_P + 1, L_Q)
+    shift_id = identity_operator(graded_basis(spec.target, L_Q))
     intertwined = []
     for g in range(len(spec.source.presentation.generators)):
         p = spec.source.element_from_word((g,))
         vp = spec.phi(p)
         lam_p = lambda_op(spec.source, p, L_P)
         # left side: shift first, then W at the deeper level
-        lhs = fell_intertwiner_at(spec, L_P + 1, L_Q) @ lam_p.tensor(
-            identity_operator(graded_basis(spec.target, L_Q))
-        )
+        lhs = W_up @ lam_p.tensor(shift_id)
         # right side: W first, then lambda_p (x) V_p
-        rhs = lam_p.tensor(
-            lambda_op(spec.target, vp, L_Q + growth)
-        ) @ W
-        if lhs.embed_codomain(common_cod) != rhs.embed_codomain(common_cod):
+        rhs = lam_p.tensor(lambda_op(spec.target, vp, L_Q + growth, L_cod=L_Q + growth_up)) @ W
+        if lhs != rhs:
             raise SemifdError(
                 "Fell intertwining fails for generator %s" % spec.source.str_of(p)
             )

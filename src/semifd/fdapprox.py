@@ -10,10 +10,11 @@ exactly. Convergence certificates here are exact equalities, never epsilons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .enumeration import EnumerationTable, MonoidElement
 from .errors import SemifdError
-from .linrep import Basis, SparseOperator
+from .linrep import Basis, SparseOperator, partial_map
 
 
 @dataclass(frozen=True)
@@ -28,21 +29,18 @@ class DivisorSubspace:
     def dim(self) -> int:
         return self.basis.dim
 
-    @property
+    @cached_property
     def max_length(self) -> int:
         return max(p.length for p in self.F)
 
     def compress(self, s: MonoidElement) -> SparseOperator:
         """Matrix of Q_F lambda_s Q_F restricted to Y_F; entries in {0, 1}."""
-        entries = {}
-        for col, r_label in enumerate(self.basis.labels):
-            r = self.table.element(r_label)
-            if s.length + r.length > self.max_length:
-                continue  # image is too long to lie in Y_F
-            sr = self.table.multiply(s, r)
-            if self.basis.contains(sr.index):
-                entries[(self.basis.index_of(sr.index), col)] = 1.0
-        return SparseOperator(self.basis, self.basis, entries)
+        top = self.max_length - s.length  # longer r send e_r outside Y_F
+        rows = [
+            self.basis.find(self.table.multiply(s, r).index) if r.length <= top else -1
+            for r in map(self.table.element, self.basis.labels)
+        ]
+        return partial_map(self.basis, self.basis, rows)
 
     def check_coinvariance(self, s: MonoidElement):
         """lambda_s* maps Y_F into Y_F (plus 0): for every r in Y_F with
@@ -50,7 +48,7 @@ class DivisorSubspace:
         for r_label in self.basis.labels:
             r = self.table.element(r_label)
             t = self.table.left_divides(s, r)
-            if t is not None and not self.basis.contains(t.index):
+            if t is not None and self.basis.find(t.index) < 0:
                 raise SemifdError(
                     "coinvariance broken: lambda_%s* e_%s leaves Y_F"
                     % (self.table.str_of(s), self.table.str_of(r))

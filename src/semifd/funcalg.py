@@ -168,9 +168,8 @@ def multiplication(kernel: KernelSpec, phi: Polynomial, dom: Basis, cod: Basis) 
     entries = {}
     for col, alpha in enumerate(dom.labels):
         for beta, c in phi.coeffs.items():
-            target = tuple(x + y for x, y in zip(alpha, beta))
-            if cod.contains(target):
-                row = cod.index_of(target)
+            row = cod.find(tuple(x + y for x, y in zip(alpha, beta)))
+            if row >= 0:
                 entries[(row, col)] = c * norms[row] / norms[col]
     return SparseOperator(dom, cod, entries)
 

@@ -3,8 +3,9 @@
 Every operator here is a map between explicitly typed graded truncations, so
 the matrices of lambda_p and lambda_p* carry no truncation error: lambda_p
 sends the level-L ball into the level-(L+|p|) ball exactly, and lambda_p*
-only lowers length. Entries of semigroup operators stay in {0, 1} and are
-compared exactly; floating scalars appear only through linear combinations.
+only lowers length. Operators are canonical CSR arrays; entries of semigroup
+operators stay in {0, 1} and are compared exactly, and floating scalars
+appear only through linear combinations.
 """
 
 from __future__ import annotations
@@ -18,128 +19,125 @@ from .errors import BasisMismatchError, LengthBoundError, SemifdError
 
 
 class Basis:
-    """An ordered orthonormal basis, identified by a tag and a label tuple.
+    """An ordered orthonormal basis, identified by a tag and its labels.
 
-    Labels are hashable (element indices for l2(P) levels, pairs for tensor
-    truncations, exponent tuples for Fock-type bases); the ordering of the
-    label tuple is the basis order.
-    """
+    Labels are hashable (element indices for l2(P) levels, exponent tuples for
+    Fock-type bases) and are hashed on first lookup, except that a graded
+    ball's labels are the range 0..N-1 and a tensor basis keeps its two
+    factors, so positions there are index arithmetic."""
 
-    __slots__ = ("tag", "labels", "_index")
+    __slots__ = ("tag", "dim", "factors", "_labels", "_index")
 
-    def __init__(self, tag: tuple, labels: tuple):
+    def __init__(self, tag: tuple, labels, factors: tuple = ()):
         self.tag = tag
-        self.labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != len(self.labels):
-            raise BasisMismatchError("duplicate basis labels")
+        self.factors = factors
+        self._labels = None if factors else labels if isinstance(labels, range) else tuple(labels)
+        self.dim = factors[0].dim * factors[1].dim if factors else len(self._labels)
+        self._index = None
 
     @property
-    def dim(self) -> int:
-        return len(self.labels)
+    def labels(self):
+        if self._labels is None:
+            b1, b2 = self.factors
+            self._labels = tuple((l1, l2) for l1 in b1.labels for l2 in b2.labels)
+        return self._labels
+
+    def find(self, label) -> int:
+        """Position of a label, or -1 if it is not in the basis."""
+        if self.factors:
+            (b1, b2), (l1, l2) = self.factors, label
+            i, j = b1.find(l1), b2.find(l2)
+            return i * b2.dim + j if i >= 0 and j >= 0 else -1
+        if isinstance(self._labels, range):
+            return self._labels.index(label) if label in self._labels else -1
+        if self._index is None:
+            self._index = {lab: i for i, lab in enumerate(self._labels)}
+            if len(self._index) != self.dim:
+                raise BasisMismatchError("duplicate basis labels")
+        return self._index.get(label, -1)
 
     def index_of(self, label) -> int:
-        return self._index[label]
-
-    def contains(self, label) -> bool:
-        return label in self._index
+        if (i := self.find(label)) < 0:
+            raise KeyError(label)
+        return i
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Basis)
-            and self.tag == other.tag
-            and self.labels == other.labels
-        )
-
-    def __hash__(self):
-        return hash((self.tag, self.labels))
+        if not isinstance(other, Basis) or self.tag != other.tag or self.dim != other.dim:
+            return False
+        if self.factors and other.factors:
+            return self.factors == other.factors
+        a, b = self.labels, other.labels
+        return a == b if type(a) is type(b) else tuple(a) == tuple(b)
 
     def __repr__(self):
         return "Basis(tag=%r, dim=%d)" % (self.tag, self.dim)
 
 
 def graded_basis(table: EnumerationTable, L: int) -> Basis:
-    """Orthonormal basis {e_p : |p| <= L}, ordered by (length, shortlex)."""
-    elems = table.elements_up_to(L)
-    return Basis(("l2", table.fingerprint), tuple(e.index for e in elems))
+    """Orthonormal basis {e_p : |p| <= L}. Elements are numbered in (length,
+    shortlex) order, so its labels are the index prefix 0..N_L-1."""
+    return Basis(("l2", table.fingerprint), range(len(table.elements_up_to(L))))
 
 
 def tensor_basis(b1: Basis, b2: Basis) -> Basis:
-    """Tensor basis, first index major, second index minor."""
-    labels = tuple((l1, l2) for l1 in b1.labels for l2 in b2.labels)
-    return Basis(("tensor", b1.tag, b2.tag), labels)
+    """Tensor basis, first index major: (l1, l2) sits at i * dim2 + j."""
+    return Basis(("tensor", b1.tag, b2.tag), None, (b1, b2))
 
 
 class SparseOperator:
-    """An exact sparse linear map between two bases.
+    """An exact sparse linear map between two bases, in canonical CSR form.
 
-    Entries are stored as a dict (row, col) -> complex with zeros pruned, so
-    equality of 0/1 operators is exact.
+    indptr, indices and data (complex128) list the rows in order, with the
+    columns of each row sorted, duplicates summed and zeros dropped, so
+    equality of 0/1 operators is exact array equality.
     """
 
-    __slots__ = ("domain", "codomain", "entries")
+    __slots__ = ("domain", "codomain", "indptr", "indices", "data")
 
     def __init__(self, domain: Basis, codomain: Basis, entries):
-        self.domain = domain
-        self.codomain = codomain
-        merged: dict[tuple[int, int], complex] = {}
-        for (r, c), v in entries.items() if isinstance(entries, dict) else entries:
-            if not (0 <= r < codomain.dim and 0 <= c < domain.dim):
-                raise BasisMismatchError("entry (%d, %d) outside basis dimensions" % (r, c))
-            merged[(r, c)] = merged.get((r, c), 0) + v
-        self.entries = {k: complex(v) for k, v in merged.items() if v != 0}
+        """From a dict (row, col) -> value or an iterable of ((row, col), value)."""
+        items = list(entries.items() if isinstance(entries, dict) else entries)
+        rc = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 2)
+        outside = ((rc < 0) | (rc >= (codomain.dim, domain.dim))).any(axis=1)
+        if outside.any():
+            raise BasisMismatchError("entry (%d, %d) outside basis dimensions" % tuple(rc[outside][0]))
+        keys, where = np.unique(rc[:, 0] * domain.dim + rc[:, 1], return_inverse=True)
+        data = np.zeros(len(keys), dtype=complex)
+        np.add.at(data, where, [v for _, v in items])
+        keys, self.data = keys[data != 0], data[data != 0]
+        self.domain, self.codomain, self.indices = domain, codomain, keys % domain.dim
+        self.indptr = np.searchsorted(keys, np.arange(codomain.dim + 1) * domain.dim)
+
+    def csr(self) -> scipy.sparse.csr_array:
+        """A scipy.sparse view of the arrays."""
+        shape = (self.codomain.dim, self.domain.dim)
+        return scipy.sparse.csr_array((self.data, self.indices, self.indptr), shape=shape)
 
     # -- algebra -------------------------------------------------------------
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if other.codomain != self.domain:
             raise BasisMismatchError("compose: inner bases do not match")
-        by_col: dict[int, list[tuple[int, complex]]] = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        out: dict[tuple[int, int], complex] = {}
-        for (k, c), bv in other.entries.items():
-            for r, av in by_col.get(k, ()):
-                key = (r, c)
-                out[key] = out.get(key, 0) + av * bv
-        return SparseOperator(other.domain, self.codomain, out)
+        return _canonical(other.domain, self.codomain, self.csr() @ other.csr())
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         if other.domain != self.domain or other.codomain != self.codomain:
             raise BasisMismatchError("add: bases do not match")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return SparseOperator(self.domain, self.codomain, out)
+        return _canonical(self.domain, self.codomain, self.csr() + other.csr())
 
     def scale(self, c: complex) -> "SparseOperator":
-        return SparseOperator(
-            self.domain, self.codomain, {k: c * v for k, v in self.entries.items()}
-        )
+        return _canonical(self.domain, self.codomain, self.csr() * c)
 
     def adjoint(self) -> "SparseOperator":
-        return SparseOperator(
-            self.codomain,
-            self.domain,
-            {(c, r): v.conjugate() for (r, c), v in self.entries.items()},
-        )
+        return _canonical(self.codomain, self.domain, self.csr().conj().T)
 
     def tensor(self, other: "SparseOperator") -> "SparseOperator":
-        dom = tensor_basis(self.domain, other.domain)
-        cod = tensor_basis(self.codomain, other.codomain)
-        d2, c2 = other.domain.dim, other.codomain.dim
-        out = {}
-        for (r1, c1), v1 in self.entries.items():
-            for (r2, c2_), v2 in other.entries.items():
-                out[(r1 * c2 + r2, c1 * d2 + c2_)] = v1 * v2
-        return SparseOperator(dom, cod, out)
+        dom, cod = tensor_basis(self.domain, other.domain), tensor_basis(self.codomain, other.codomain)
+        return _canonical(dom, cod, scipy.sparse.kron(self.csr(), other.csr(), format="csr"))
 
     def embed_codomain(self, new_codomain: Basis) -> "SparseOperator":
         """Re-express with a larger codomain containing every current label."""
-        out = {}
-        for (r, c), v in self.entries.items():
-            out[(new_codomain.index_of(self.codomain.labels[r]), c)] = v
-        return SparseOperator(self.domain, new_codomain, out)
+        return inclusion(self.codomain, new_codomain) @ self
 
     # -- queries ---------------------------------------------------------------
 
@@ -148,56 +146,80 @@ class SparseOperator:
             isinstance(other, SparseOperator)
             and self.domain == other.domain
             and self.codomain == other.codomain
-            and self.entries == other.entries
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.data, other.data)
         )
 
-    def __hash__(self):
-        return hash((self.domain, self.codomain, frozenset(self.entries.items())))
+    def _rows(self) -> np.ndarray:
+        return np.arange(self.codomain.dim).repeat(self.indptr[1:] - self.indptr[:-1])
+
+    @property
+    def entries(self) -> dict:
+        """Read-only view {(row, col): value}, computed from the arrays."""
+        return dict(zip(zip(self._rows().tolist(), self.indices.tolist()), self.data.tolist()))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not len(self.data)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if vec.shape != (self.domain.dim,):
             raise BasisMismatchError("vector length does not match domain")
-        out = np.zeros(self.codomain.dim, dtype=complex)
-        for (r, c), v in self.entries.items():
-            out[r] += v * vec[c]
-        return out
+        return self.csr() @ vec
 
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.codomain.dim, self.domain.dim), dtype=complex)
-        for (r, c), v in self.entries.items():
-            m[r, c] = v
+        m[self._rows(), self.indices] = self.data
         return m
 
     def triplets(self) -> list[tuple[int, int, float, float]]:
         """Deterministic (row, col, re, im) serialization."""
-        return [
-            (r, c, v.real, v.imag) for (r, c), v in sorted(self.entries.items())
-        ]
+        return [(r, c, v.real, v.imag) for (r, c), v in self.entries.items()]
 
     def __repr__(self):
-        return "SparseOperator(%d x %d, %d entries)" % (
-            self.codomain.dim,
-            self.domain.dim,
-            len(self.entries),
-        )
+        return "SparseOperator(%d x %d, %d entries)" % (self.codomain.dim, self.domain.dim, len(self.data))
+
+
+def _csr(domain: Basis, codomain: Basis, indptr, indices, data) -> SparseOperator:
+    op = SparseOperator.__new__(SparseOperator)
+    op.domain, op.codomain, op.indptr, op.indices, op.data = domain, codomain, indptr, indices, data
+    return op
+
+
+def _canonical(domain: Basis, codomain: Basis, a) -> SparseOperator:
+    """Wrap a scipy.sparse result with sorted indices, duplicates summed and zeros dropped."""
+    a = scipy.sparse.csr_array(a)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    return _csr(domain, codomain, a.indptr, a.indices, a.data.astype(complex, copy=False))
+
+
+def partial_map(domain: Basis, codomain: Basis, rows) -> SparseOperator:
+    """The 0/1 operator e_c -> e_rows[c], with no image where rows[c] < 0."""
+    if len(rows) != domain.dim:
+        raise BasisMismatchError("one row per domain vector required")
+    cols = sorted([c for c, r in enumerate(rows) if r >= 0], key=rows.__getitem__)
+    if not cols:  # most compressions to Y_F are zero
+        return zero_operator(domain, codomain)
+    # indptr[i] counts the images in rows below i
+    indptr = np.bincount([rows[c] + 1 for c in cols], minlength=codomain.dim + 1).cumsum()
+    if len(indptr) > codomain.dim + 1:
+        raise BasisMismatchError("image %d outside codomain of dimension %d" % (len(indptr) - 2, codomain.dim))
+    return _csr(domain, codomain, indptr, np.array(cols, dtype=np.int64), np.ones(len(cols), dtype=complex))
 
 
 def identity_operator(basis: Basis) -> SparseOperator:
-    return SparseOperator(basis, basis, {(i, i): 1.0 for i in range(basis.dim)})
+    return partial_map(basis, basis, range(basis.dim))
 
 
 def zero_operator(domain: Basis, codomain: Basis) -> SparseOperator:
-    return SparseOperator(domain, codomain, {})
+    empty = np.zeros(0, dtype=np.int64)
+    return _csr(domain, codomain, np.zeros(codomain.dim + 1, dtype=np.int64), empty, empty.astype(complex))
 
 
 def inclusion(small: Basis, big: Basis) -> SparseOperator:
     """The isometric inclusion of a sub-basis into a larger one."""
-    return SparseOperator(
-        small, big, {(big.index_of(lab), i): 1.0 for i, lab in enumerate(small.labels)}
-    )
+    return partial_map(small, big, [big.index_of(lab) for lab in small.labels])
 
 
 class Vector:
@@ -217,9 +239,6 @@ class Vector:
         v[basis.index_of(label)] = 1.0
         return cls(basis, v)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def inner(self, other: "Vector") -> complex:
         if other.basis != self.basis:
             raise BasisMismatchError("inner product across different bases")
@@ -230,50 +249,32 @@ class Vector:
 
 
 def lambda_op(
-    table: EnumerationTable,
-    p: MonoidElement,
-    L: int,
-    L_cod: int | None = None,
+    table: EnumerationTable, p: MonoidElement, L: int, L_cod: int | None = None
 ) -> SparseOperator:
     """Matrix of lambda_p from the level-L ball into the level-L_cod ball.
 
     e_q -> e_{pq}; exact, one 1 per column. L_cod defaults to L + |p|, the
     smallest codomain that holds every image.
     """
-    if L_cod is None:
-        L_cod = L + p.length
+    L_cod = L + p.length if L_cod is None else L_cod
     if L_cod < L + p.length:
         raise LengthBoundError("codomain level %d cannot hold lambda_p images" % L_cod)
     if table.L < L_cod:
-        raise LengthBoundError(
-            "table enumerated to %d, need %d for lambda_%s on level %d"
-            % (table.L, L_cod, table.str_of(p), L)
-        )
-    dom = graded_basis(table, L)
-    cod = graded_basis(table, L_cod)
-    entries = {}
-    for col, q_label in enumerate(dom.labels):
-        q = table.element(q_label)
-        entries[(cod.index_of(table.multiply(p, q).index), col)] = 1.0
-    return SparseOperator(dom, cod, entries)
+        raise LengthBoundError("table enumerated to %d, need %d for lambda_%s on level %d"
+                               % (table.L, L_cod, table.str_of(p), L))
+    rows = [table.multiply(p, q).index for q in table.elements_up_to(L)]
+    return partial_map(graded_basis(table, L), graded_basis(table, L_cod), rows)
 
 
 def lambda_adjoint_op(table: EnumerationTable, p: MonoidElement, L: int) -> SparseOperator:
-    """Matrix of lambda_p* on the level-L ball: e_r -> e_q if r = pq, else 0.
-
-    Lengths only drop, so domain and codomain are the same truncation and the
-    matrix is exact.
-    """
-    if table.L < L:
-        raise LengthBoundError("table enumerated to %d, need %d" % (table.L, L))
+    """Matrix of lambda_p* on the level-L ball: e_r -> e_q if r = pq (q is unique
+    by left cancellation), else 0. Lengths only drop, so domain and codomain are
+    the same truncation and the matrix is exact."""
     basis = graded_basis(table, L)
-    entries = {}
-    for n in range(L - p.length + 1):
-        for q_idx in table.by_length[n]:
-            q = table.element(q_idx)
-            r = table.multiply(p, q)
-            entries[(basis.index_of(q.index), basis.index_of(r.index))] = 1.0
-    return SparseOperator(basis, basis, entries)
+    rows = [-1] * basis.dim
+    for q in table.elements_up_to(L - p.length) if p.length <= L else ():
+        rows[table.multiply(p, q).index] = q.index
+    return partial_map(basis, basis, rows)
 
 
 def operator_norm(A: SparseOperator, tol: float = 1e-9) -> float:
@@ -294,8 +295,7 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9) -> float:
         gi, gj = np.nonzero(gram)
         g = gram[gi, gj]
     else:
-        rows, cols = zip(*A.entries)
-        M = scipy.sparse.csr_matrix((list(A.entries.values()), (rows, cols)), shape=(m, n))
+        M = A.csr()
         gram = (M.conj().T @ M).tocoo()
         gi, gj, g = gram.row, gram.col, gram.data
     kd = int(np.abs(gi - gj).max())

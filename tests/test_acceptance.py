@@ -205,6 +205,21 @@ def test_criterion_14_enumeration_frontier():
             table.check_associativity()
 
 
+def test_criterion_15_coaction_frontier(tmp_path):
+    # W has 1,581 x 41 columns; with entry-dict operators this took about 6 s
+    config = {"command": "coaction", "presentation": {"builtin": "braid", "n": 3}, "map": "length"}
+    path, out = tmp_path / "config.json", tmp_path / "report.json"
+    path.write_text(json.dumps(dict(config, L_P=12, L_Q=40)))
+    with criterion(15, "braid(3) Fell absorption at L_P=12, L_Q=40", budget=2.0):
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+    fell = json.loads(out.read_text())["checks"][0]
+    assert fell == {
+        "name": "fell-absorption",
+        "status": "pass",
+        "witness": {"L_P": 12, "L_Q": 40, "isometry": "exact", "intertwined_generators": ["s1", "s2"]},
+    }
+
+
 CRITERION_CONFIGS = [
     {"command": "divisors", "presentation": {"builtin": "nat", "d": 2}, "L": 4},
     {"command": "divisors", "presentation": {"builtin": "free", "n": 2}, "L": 4},

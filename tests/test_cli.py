@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from semifd import funcalg
 from semifd.cli import main
 
 
@@ -205,6 +206,7 @@ def test_inline_presentation_document(tmp_path, capsys):
         {"command": "fdapprox", "presentation": {"builtin": "nat", "d": 1}, "F": [True], "L": 3},
         {"command": "fdapprox", "presentation": {"builtin": "braid", "n": 3}, "F": ["s1.s9"], "L": 3},
         {"command": "coaction", "presentation": {"builtin": "braid", "n": 3}, "map": "abelianization"},
+        {"command": "funcalg", "kernel": {"name": "custom", "coefficients": [1.0, 0.5, 0.25]}, "D": 8},
     ],
     ids=[
         "negative-L",
@@ -213,6 +215,7 @@ def test_inline_presentation_document(tmp_path, capsys):
         "boolean-in-F",
         "unknown-generator-in-F",
         "abelianization-of-braid",
+        "custom-kernel-shorter-than-D",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, config):
@@ -220,6 +223,18 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, config):
     assert status == 2
     assert report is None
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_fock_dimension_cap_trips_before_any_basis(tmp_path, capsys, monkeypatch):
+    # Drury-Arveson d=3 at D=10^6 would need C(10^6 + 3, 3) ~ 1.7e17 monomials
+    def no_basis(*args):
+        raise AssertionError("a Fock basis was built")
+
+    monkeypatch.setattr(funcalg, "fock_basis", no_basis)
+    config = {"command": "funcalg", "kernel": {"name": "drury_arveson", "d": 3}, "D": 10**6}
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 3 and report is None
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 def test_covariance_needs_coefficients_up_to_D_only(tmp_path, capsys):

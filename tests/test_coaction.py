@@ -172,6 +172,22 @@ def test_fell_intertwiner_braid_length(braid_length_spec):
     assert W.adjoint() @ W == sf.identity_operator(W.domain)
 
 
+def test_fell_intertwiner_with_unequal_image_lengths(free2, nat1):
+    # a -> x, b -> x^2: the codomain growth max |phi(p)| over |p| <= L_P is
+    # read off by brute force over the ball and must match W's second leg
+    x = nat1.element_from_word((0,))
+    spec = sf.CoactionSpec(sf.ControlledMap(free2, nat1, [x, nat1.multiply(x, x)]))
+    W, report = sf.fell_intertwiner(spec, 3, 4)
+    assert report["isometry"] == "exact" and report["intertwined_generators"] == ["a", "b"]
+    growth = max(spec.phi(p).length for p in free2.elements_up_to(3))
+    assert growth == 6
+    assert W.codomain.factors[1] == sf.graded_basis(nat1, 4 + growth)
+    for p in free2.elements_up_to(3):
+        for k in nat1.elements_up_to(4):
+            row = W.codomain.index_of((p.index, nat1.multiply(spec.phi(p), k).index))
+            assert W.entries[(row, W.domain.index_of((p.index, k.index)))] == 1.0
+
+
 def test_fell_intertwiner_free_abelianization(free_abel_spec):
     _, report = sf.fell_intertwiner(free_abel_spec, 3, 4)
     assert report["isometry"] == "exact"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semifd as sf
+from semifd.linrep import partial_map
 
 from oracles import gram_operator_norm
 
@@ -234,3 +237,92 @@ def test_vector_shape_check(free2):
     basis = sf.graded_basis(free2, 1)
     with pytest.raises(sf.BasisMismatchError):
         sf.Vector(basis, np.zeros(5))
+
+
+def _dense_oracle(m, n, items):
+    out = np.zeros((m, n), dtype=complex)
+    for (r, c), v in items:
+        out[r, c] += v
+    return out
+
+
+def _assert_canonical(op, dense):
+    indptr, indices, data = op.indptr, op.indices, op.data
+    assert indptr[0] == 0 and indptr[-1] == len(indices) == len(data)
+    assert np.all(np.diff(indptr) >= 0) and np.all(data != 0) and data.dtype == complex
+    for r in range(op.codomain.dim):
+        row = indices[indptr[r] : indptr[r + 1]]
+        assert np.all(np.diff(row) > 0)  # sorted, no duplicates
+    assert np.array_equal(op.to_dense(), dense)
+    assert op.is_zero() == (not dense.any())
+
+
+# Gaussian integers with |re|, |im| <= 2 keep every sum and product exact
+_gauss = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def _operator_items(draw, m, n):
+    keys = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    return draw(st.lists(st.tuples(keys, _gauss), max_size=3 * m * n))
+
+
+@st.composite
+def _operator_case(draw):
+    m, n, k = (draw(st.integers(1, 4)) for _ in range(3))
+    return m, n, k, draw(_operator_items(m, n)), draw(_operator_items(m, n)), draw(_operator_items(n, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operator_case(), _gauss, st.lists(_gauss, min_size=4, max_size=4))
+def test_csr_operator_matches_dense_oracle(case, c, vec):
+    # entries come with duplicate keys and explicit zeros; dense numpy is the oracle
+    m, n, k, items_a, items_a2, items_b = case
+    bm, bn, bk = (sf.Basis(("h", d), tuple(range(d))) for d in (m, n, k))
+    A, A2 = sf.SparseOperator(bn, bm, items_a), sf.SparseOperator(bn, bm, items_a2)
+    B = sf.SparseOperator(bk, bn, items_b)
+    DA, DA2, DB = _dense_oracle(m, n, items_a), _dense_oracle(m, n, items_a2), _dense_oracle(n, k, items_b)
+    _assert_canonical(A, DA)
+    _assert_canonical(A @ B, DA @ DB)
+    _assert_canonical(A + A2, DA + DA2)
+    _assert_canonical(A.scale(c), c * DA)
+    _assert_canonical(A.adjoint(), DA.conj().T)
+    _assert_canonical(A.tensor(B), np.kron(DA, DB))
+    assert np.array_equal(A.apply(np.array(vec[:n])), DA @ np.array(vec[:n]))
+    nonzero = {(r, col): DA[r, col] for r, col in zip(*np.nonzero(DA))}
+    assert A == sf.SparseOperator(bn, bm, dict(reversed(list(nonzero.items()))))
+    assert (A == A2) == np.array_equal(DA, DA2)
+    assert (A != A2) == (not np.array_equal(DA, DA2))
+    assert A.entries == {(int(r), int(col)): v for (r, col), v in nonzero.items()}
+    big = sf.Basis(("h", m), tuple(range(m + 2))[::-1])
+    embedded = np.zeros((m + 2, n), dtype=complex)
+    embedded[[m + 1 - r for r in range(m)]] = DA
+    _assert_canonical(A.embed_codomain(big), embedded)
+    for bad in ((m, 0), (0, n), (-1, 0)):
+        with pytest.raises(sf.BasisMismatchError):
+            sf.SparseOperator(bn, bm, items_a + [(bad, 1.0)])
+    with pytest.raises(sf.BasisMismatchError):
+        partial_map(bn, bm, [m] + [-1] * (n - 1))
+
+
+def test_partial_map_is_canonical():
+    b3, b4 = sf.Basis(("p", 3), (0, 1, 2)), sf.Basis(("p", 4), (0, 1, 2, 3))
+    P = partial_map(b4, b3, [2, -1, 0, 2])
+    assert np.array_equal(P.indptr, [0, 1, 1, 3]) and np.array_equal(P.indices, [2, 0, 3])
+    assert P == sf.SparseOperator(b4, b3, {(2, 0): 1.0, (0, 2): 1.0, (2, 3): 1.0})
+
+
+def test_tensor_index_matches_pair_enumeration(free2, braid3):
+    # a tensor basis keeps its factors; positions are i * dim2 + j in first-major pair order
+    b1 = sf.graded_basis(free2, 2)
+    b2 = sf.build_Y(braid3, [braid3.element_from_str("s1.s2.s1")]).basis
+    T = sf.tensor_basis(b1, b2)
+    pairs = [(l1, l2) for l1 in b1.labels for l2 in b2.labels]
+    assert T.dim == len(pairs)
+    assert [T.index_of(pair) for pair in pairs] == list(range(len(pairs)))
+    assert T.labels == tuple(pairs)
+    assert T == sf.Basis(T.tag, pairs)
+    absent = braid3.element_from_str("s2.s2").index
+    assert b2.find(absent) == -1 and T.find((0, absent)) == -1
+    with pytest.raises(KeyError):
+        T.index_of((0, absent))
