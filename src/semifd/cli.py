@@ -17,7 +17,7 @@ import numpy as np
 
 from . import coaction as coact
 from . import fdapprox, funcalg
-from .enumeration import EnumerationTable, abelianization, enumerate_monoid, length_map
+from .enumeration import abelianization, enumerate_monoid, length_map
 from .errors import ControlledMapError, PresentationError, ResourceLimitError, SemifdError
 from .funcalg import KernelSpec, Polynomial
 from .linrep import operator_norm
@@ -51,35 +51,35 @@ def _load_presentation(cfg) -> MonoidPresentation:
     raise ConfigError('"presentation" needs "builtin", "path" or inline "generators"')
 
 
+def _is_count(value) -> bool:
+    """A nonnegative JSON integer (booleans and floats are not)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _count(cfg, key: str, default: int) -> int:
     """A nonnegative integer field of the config."""
     value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not _is_count(value):
         raise ConfigError('"%s" must be a nonnegative integer, got %r' % (key, value))
     return value
 
 
-def _parse_F(table: EnumerationTable, raw) -> list:
+def _F_words(pres: MonoidPresentation, raw) -> list:
+    """The words of a list F: "."-separated generator names, or n for g_0^n."""
+    if not isinstance(raw, list):
+        raise ConfigError('"F" must be a list')
     out = []
     for item in raw:
-        if isinstance(item, int) and not isinstance(item, bool):
-            if item < 0:
-                raise ConfigError("negative length in F")
-            word = (0,) * item
+        if _is_count(item):
+            out.append((0,) * item)
         elif isinstance(item, str):
             try:
-                word = table.presentation.parse_word(item)
+                out.append(pres.parse_word(item))
             except PresentationError as exc:
                 raise ConfigError("bad F: %s" % exc)
         else:
             raise ConfigError("F entries must be words or nonnegative integers")
-        out.append(table.element_from_word(word))
     return out
-
-
-def _F_length(item) -> int:
-    """Generators in an F word ("e" has none), or the integer entry itself."""
-    return (0 if item in ("", "e") else item.count(".") + 1) if isinstance(item, str) else int(item)
 
 
 def _load_kernel(cfg) -> KernelSpec:
@@ -88,12 +88,12 @@ def _load_kernel(cfg) -> KernelSpec:
     if not isinstance(cfg, dict) or "name" not in cfg:
         raise ConfigError('"kernel" must be a name or an object with "name"')
     name = cfg["name"]
-    d = cfg.get("d", 1)
+    d = _count(cfg, "d", 1)  # 0 is refused by KernelSpec
     try:
         if name == "custom":
             return KernelSpec(d, "custom", tuple(float(c) for c in cfg["coefficients"]))
         return KernelSpec(d, name)
-    except (SemifdError, KeyError, ValueError) as exc:
+    except (SemifdError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad kernel: %s" % exc)
 
 
@@ -169,11 +169,12 @@ def _cmd_divisors(cfg, max_words):
 def _cmd_fdapprox(cfg, max_words, norm_tol):
     pres = _load_presentation(cfg.get("presentation"))
     L = _count(cfg, "L", 5)
-    if "F" not in cfg:
-        raise ConfigError('fdapprox needs "F"')
-    bound = max(L, max(map(_F_length, cfg["F"])) if cfg["F"] else L)
-    table = enumerate_monoid(pres, max(L, bound + L), max_words=max_words)
-    F = _parse_F(table, cfg["F"])
+    if not isinstance(cfg.get("F"), list) or not cfg["F"]:
+        raise ConfigError('"F" must be a nonempty list')
+    words = _F_words(pres, cfg["F"])
+    # compressions form s*r only with |s| + |r| <= max|F|; the checks run over the L-ball
+    table = enumerate_monoid(pres, max(L, *map(len, words)), max_words=max_words)
+    F = [table.element_from_word(w) for w in words]
     runner = CheckRunner()
     sub = fdapprox.build_Y(table, F)
     state = {}
@@ -190,14 +191,9 @@ def _cmd_fdapprox(cfg, max_words, norm_tol):
                 raise SemifdError("compression norm %r > 1 at s=%s" % (nrm, table.str_of(s)))
         return "all <= 1"
 
-    def coinvariance():
-        for s in table.elements_up_to(L):
-            sub.check_coinvariance(s)
-        return "exact"
-
     runner.run("kernel-formula", kernel)
     runner.run("contractivity", contractivity)
-    runner.run("coinvariance", coinvariance)
+    runner.run("coinvariance", lambda: sub.check_coinvariance() or "exact")
     tables = {"dim_Y_F": sub.dim, "kernel_set": state.get("kernel", [])}
     return runner, tables
 
@@ -207,21 +203,20 @@ def _cmd_coaction(cfg, max_words):
     L_P = _count(cfg, "L_P", 3)
     L_Q = _count(cfg, "L_Q", 4)
     map_kind = cfg.get("map", "length")
-    F_raw = cfg.get("F", [])
-    maxF = max(map(_F_length, F_raw)) if F_raw else 0
-    src_bound = max(L_P + 1, maxF, 2)
+    if map_kind not in ("length", "abelianization"):
+        raise ConfigError('"map" must be "length" or "abelianization"')
+    target_pres = free(1) if map_kind == "length" else nat(len(pres.generators))
+    words = _F_words(target_pres, cfg.get("F", []))
+    src_bound = max(L_P + 1, *map(len, words), 2)
     source = enumerate_monoid(pres, src_bound, max_words=max_words)
+    target = enumerate_monoid(target_pres, src_bound + L_Q + 1, max_words=max_words)
     if map_kind == "length":
-        target = enumerate_monoid(free(1), src_bound + L_Q + 1, max_words=max_words)
         phi = length_map(source, target)
-    elif map_kind == "abelianization":
-        target = enumerate_monoid(nat(len(pres.generators)), src_bound + L_Q + 1, max_words=max_words)
+    else:
         try:
             phi = abelianization(source, target)
         except ControlledMapError as exc:
             raise ConfigError("bad map: %s" % exc)
-    else:
-        raise ConfigError('"map" must be "length" or "abelianization"')
     spec = coact.CoactionSpec(phi)
     runner = CheckRunner()
     tables = {}
@@ -238,8 +233,8 @@ def _cmd_coaction(cfg, max_words):
 
     runner.run("fell-absorption", fell)
     runner.run("character-reconstruction", reconstruction)
-    if F_raw:
-        F = _parse_F(target, F_raw)
+    if words:
+        F = [target.element_from_word(w) for w in words]
 
         def spanning():
             span, count = coact.qf_spanning_set(spec, F)
@@ -254,6 +249,9 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
     kernel = _load_kernel(cfg.get("kernel", "hardy"))
     phi = _load_polynomial(cfg.get("phi", []), kernel.d)
     D = _count(cfg, "D", 8)
+    F = cfg.get("F", [])
+    if not isinstance(F, list) or not all(map(_is_count, F)):
+        raise ConfigError('"F" must be a list of nonnegative integers')
     if kernel.name == "custom" and len(kernel.explicit) <= D:
         raise ConfigError("custom kernel lists c_0..c_%d, D = %d needs c_D" % (len(kernel.explicit) - 1, D))
     if math.comb(D + kernel.d, kernel.d) > max_words:  # before any basis is built
@@ -287,14 +285,14 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
         return "within 1e-12"
 
     def grading():
-        components, qdim = funcalg.n_coaction(phi, cfg.get("F", []))
+        components, qdim = funcalg.n_coaction(phi, F)
         total = Polynomial(phi.d, {})
         for _, part in components:
             total = total + part
         if total != phi:
             raise SemifdError("homogeneous components do not sum back")
         tables["homogeneous_degrees"] = [n for n, _ in components]
-        if cfg.get("F"):
+        if F:
             tables["quotient_dimension"] = qdim
         return "reconstructed"
 

@@ -156,17 +156,6 @@ class EnumerationTable:
             )
         return self.elements[self._walk(x.index, y.word)]
 
-    def left_divides(self, p: MonoidElement, r: MonoidElement) -> MonoidElement | None:
-        """Return q with r = p*q if it exists (unique by left cancellation)."""
-        k = r.length - p.length
-        if k < 0:
-            return None
-        for q_idx in self.by_length[k]:
-            q = self.elements[q_idx]
-            if self.multiply(p, q) == r:
-                return q
-        return None
-
     # -- divisor sets --------------------------------------------------------
 
     @cached_property

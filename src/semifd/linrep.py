@@ -172,10 +172,6 @@ class SparseOperator:
         m[self._rows(), self.indices] = self.data
         return m
 
-    def triplets(self) -> list[tuple[int, int, float, float]]:
-        """Deterministic (row, col, re, im) serialization."""
-        return [(r, c, v.real, v.imag) for (r, c), v in self.entries.items()]
-
     def __repr__(self):
         return "SparseOperator(%d x %d, %d entries)" % (self.codomain.dim, self.domain.dim, len(self.data))
 
@@ -220,29 +216,6 @@ def zero_operator(domain: Basis, codomain: Basis) -> SparseOperator:
 def inclusion(small: Basis, big: Basis) -> SparseOperator:
     """The isometric inclusion of a sub-basis into a larger one."""
     return partial_map(small, big, [big.index_of(lab) for lab in small.labels])
-
-
-class Vector:
-    """A vector expressed in a fixed basis."""
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis: Basis, coeffs):
-        self.basis = basis
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-        if self.coeffs.shape != (basis.dim,):
-            raise BasisMismatchError("coefficient length does not match basis")
-
-    @classmethod
-    def basis_vector(cls, basis: Basis, label) -> "Vector":
-        v = np.zeros(basis.dim, dtype=complex)
-        v[basis.index_of(label)] = 1.0
-        return cls(basis, v)
-
-    def inner(self, other: "Vector") -> complex:
-        if other.basis != self.basis:
-            raise BasisMismatchError("inner product across different bases")
-        return complex(np.vdot(other.coeffs, self.coeffs))
 
 
 # -- regular representation ------------------------------------------------

@@ -5,8 +5,9 @@ computed by global union-find over all words of a given length, divisors by
 scanning all factorizations of all representatives, kernel Gram entries by
 expanding the kernel power series with dict convolution, and sup norms by a
 dense grid on the circle. The table oracles at the end are the package's
-former all-pairs and all-triples loops over a table's products: slow, but
-they test the definitions directly rather than their Cayley-graph reductions.
+former all-pairs, all-triples and per-s cofactor loops over a table's
+products: slow, but they test the definitions directly rather than their
+Cayley-graph and divisor-closure reductions.
 """
 
 from __future__ import annotations
@@ -121,6 +122,19 @@ def table_associative(table) -> bool:
             for z in table.elements_up_to(table.L - x.length - y.length):
                 if table.multiply(table.multiply(x, y), z) != table.multiply(x, table.multiply(y, z)):
                     return False
+    return True
+
+
+def table_coinvariant(table, labels, s) -> bool:
+    """lambda_s* maps span{e_r : r in labels} into itself: for each r = s*t,
+    the cofactor t (found by scanning every product s*t of length |r|) is in
+    labels."""
+    inside = set(labels)
+    for r in map(table.element, labels):
+        k = r.length - s.length
+        for t in map(table.element, table.by_length[k] if k >= 0 else ()):
+            if table.multiply(s, t) == r and t.index not in inside:
+                return False
     return True
 
 

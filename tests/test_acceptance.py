@@ -220,6 +220,18 @@ def test_criterion_15_coaction_frontier(tmp_path):
     }
 
 
+def test_criterion_16_fdapprox_frontier(tmp_path):
+    # a table to length max|F| = 8 (1,704 elements) suffices; to max|F| + L = 16 this took about 6 s
+    path, out = tmp_path / "config.json", tmp_path / "report.json"
+    path.write_text(json.dumps(CRITERION_CONFIGS[11]))
+    with criterion(16, "braid(4) fdapprox, |F| = 8, L = 8", budget=1.5):
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [c["status"] for c in report["checks"]] == ["pass"] * 3
+    assert report["checks"][0]["witness"] == {"size": 1619}
+    assert report["tables"]["dim_Y_F"] == 48 and len(report["tables"]["kernel_set"]) == 1619
+
+
 CRITERION_CONFIGS = [
     {"command": "divisors", "presentation": {"builtin": "nat", "d": 2}, "L": 4},
     {"command": "divisors", "presentation": {"builtin": "free", "n": 2}, "L": 4},
@@ -271,6 +283,12 @@ CRITERION_CONFIGS = [
         "D": 8,
         "F": [4],
     },
+    {
+        "command": "fdapprox",
+        "presentation": {"builtin": "braid", "n": 4},
+        "F": ["s1.s2.s3.s1.s2.s1.s3.s2"],
+        "L": 8,
+    },
 ]
 
 
@@ -294,6 +312,7 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("num", range(len(CRITERION_CONFIGS)))
 def test_criterion_12_reports_match_goldens(num, tmp_path):
     # reports of CRITERION_CONFIGS saved before the union-find enumeration
+    # (0-10) and before fdapprox tables were cut to max(L, max|F|) (11)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CRITERION_CONFIGS[num]))
     out = tmp_path / "report.json"

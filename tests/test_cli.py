@@ -207,6 +207,14 @@ def test_inline_presentation_document(tmp_path, capsys):
         {"command": "fdapprox", "presentation": {"builtin": "braid", "n": 3}, "F": ["s1.s9"], "L": 3},
         {"command": "coaction", "presentation": {"builtin": "braid", "n": 3}, "map": "abelianization"},
         {"command": "funcalg", "kernel": {"name": "custom", "coefficients": [1.0, 0.5, 0.25]}, "D": 8},
+        {"command": "fdapprox", "presentation": {"builtin": "braid", "n": 3}, "F": [], "L": 3},
+        {"command": "fdapprox", "presentation": {"builtin": "braid", "n": 3}, "F": "s1", "L": 3},
+        {"command": "funcalg", "kernel": {"name": "hardy", "d": "2"}, "D": 4},
+        {"command": "funcalg", "kernel": {"name": "hardy", "d": 2.0}, "D": 4},
+        {"command": "funcalg", "kernel": {"name": "hardy", "d": True}, "D": 4},
+        {"command": "funcalg", "kernel": "hardy", "D": 4, "F": "ab"},
+        {"command": "funcalg", "kernel": "hardy", "D": 4, "F": [1.5]},
+        {"command": "funcalg", "kernel": "hardy", "D": 4, "F": [-1]},
     ],
     ids=[
         "negative-L",
@@ -216,6 +224,14 @@ def test_inline_presentation_document(tmp_path, capsys):
         "unknown-generator-in-F",
         "abelianization-of-braid",
         "custom-kernel-shorter-than-D",
+        "fdapprox-empty-F",
+        "fdapprox-string-F",
+        "funcalg-string-d",
+        "funcalg-float-d",
+        "funcalg-boolean-d",
+        "funcalg-string-F",
+        "funcalg-float-in-F",
+        "funcalg-negative-in-F",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, config):

@@ -3,7 +3,7 @@ import pytest
 
 import semifd as sf
 
-from oracles import brute_right_divisors
+from oracles import brute_right_divisors, table_coinvariant
 
 
 def el(table, text):
@@ -59,12 +59,12 @@ def test_exhaustion(braid3):
 
 
 def test_pi_F_nilpotent_shift(nat1):
-    mat = sf.pi_F(nat1, [nat_el(nat1, 2)], nat_el(nat1, 1))
+    mat = sf.build_Y(nat1, [nat_el(nat1, 2)]).compress(nat_el(nat1, 1))
     assert np.array_equal(mat.to_dense(), np.eye(3, 3, k=-1))
 
 
 def test_pi_F_annihilates_long_shift(nat1):
-    mat = sf.pi_F(nat1, [nat_el(nat1, 2)], nat_el(nat1, 3))
+    mat = sf.build_Y(nat1, [nat_el(nat1, 2)]).compress(nat_el(nat1, 3))
     assert mat.is_zero()
 
 
@@ -101,14 +101,38 @@ def test_nesting_compression(braid3):
 
 def test_coinvariance_entrywise(braid3):
     sub = sf.build_Y(braid3, [el(braid3, "s1.s2.s1")])
+    sub.check_coinvariance()
     for s in braid3.elements_up_to(3):
-        sub.check_coinvariance(s)
         # Q_F lambda_s* Q_F == lambda_s* Q_F as operators on level-3 space
         adj = sf.lambda_adjoint_op(braid3, s, 3)
         level = sf.graded_basis(braid3, 3)
         incl = sf.inclusion(sub.basis, level)
         proj = incl @ incl.adjoint()
         assert proj @ adj @ proj == adj @ proj
+
+
+@pytest.mark.parametrize(
+    "pres, L, F_words",
+    [
+        (sf.braid(3), 5, [(0, 1, 0), (1, 1), (0, 1, 1, 0, 1)]),
+        (sf.braid(4), 4, [(0, 1, 2), (0, 2, 1, 0)]),
+        (sf.free(2), 4, [(0, 1), (1, 0, 0, 1)]),
+        (sf.nat(2), 5, [(0, 0, 1), (0, 1, 1, 1, 1)]),
+    ],
+    ids=["braid3", "braid4", "free2", "nat2"],
+)
+def test_coinvariance_matches_per_s_oracle(pres, L, F_words):
+    table = sf.enumerate_monoid(pres, L)
+    ball = table.elements_up_to(L)
+    for n in range(1, len(F_words) + 1):
+        sub = sf.build_Y(table, [table.element_from_word(w) for w in F_words[:n]])
+        sub.check_coinvariance()
+        assert all(table_coinvariant(table, sub.basis.labels, s) for s in ball)
+    # without the identity, lambda_r* e_r = e_1 leaves the span for every r
+    holed = sf.DivisorSubspace(table, sub.F, sf.Basis(sub.basis.tag, sub.basis.labels[1:]))
+    with pytest.raises(sf.SemifdError, match="right divisor e of"):
+        holed.check_coinvariance()
+    assert not all(table_coinvariant(table, holed.basis.labels, s) for s in ball)
 
 
 # -- kernel sets ---------------------------------------------------------------------

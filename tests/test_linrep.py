@@ -96,14 +96,11 @@ def test_adjoint_consistency(free2):
     p = free2.element_from_str("a.b")
     lam = sf.lambda_op(free2, p, 2)
     adj_of_op = lam.adjoint()
-    basis_dom, basis_cod = lam.domain, lam.codomain
-    for x_lab in basis_dom.labels:
-        x = sf.Vector.basis_vector(basis_dom, x_lab)
-        for y_lab in basis_cod.labels:
-            y = sf.Vector.basis_vector(basis_cod, y_lab)
-            lhs = sf.Vector(basis_cod, lam.apply(x.coeffs)).inner(y)
-            rhs = x.inner(sf.Vector(basis_dom, adj_of_op.apply(y.coeffs)))
-            assert lhs == rhs
+    dom, cod = np.eye(lam.domain.dim), np.eye(lam.codomain.dim)
+    for x in dom:
+        for y in cod:
+            # <lambda x, y> = <x, lambda* y>
+            assert np.vdot(y, lam.apply(x)) == np.vdot(adj_of_op.apply(y), x)
 
 
 def test_compose_basis_mismatch(free2, braid3):
@@ -224,19 +221,6 @@ def test_operator_norm_refuses_uncertifiable_tol():
     assert sf.operator_norm(A, tol=1e-12) == 1.0
     with pytest.raises(sf.SemifdError, match="not certified"):
         sf.operator_norm(A, tol=1e-16)
-
-
-def test_triplet_serialization_is_sorted(free2):
-    lam = sf.lambda_op(free2, free2.element_from_str("a"), 2)
-    trips = lam.triplets()
-    assert trips == sorted(trips)
-    assert all(im == 0.0 and re == 1.0 for (_, _, re, im) in trips)
-
-
-def test_vector_shape_check(free2):
-    basis = sf.graded_basis(free2, 1)
-    with pytest.raises(sf.BasisMismatchError):
-        sf.Vector(basis, np.zeros(5))
 
 
 def _dense_oracle(m, n, items):
