@@ -115,6 +115,8 @@ class CheckRunner:
         try:
             witness = fn()
             self.checks.append({"name": name, "status": "pass", "witness": witness})
+        except ResourceLimitError:
+            raise
         except SemifdError as exc:
             self.failed = True
             self.checks.append({"name": name, "status": "fail", "witness": str(exc)})
@@ -186,7 +188,8 @@ def _cmd_fdapprox(cfg, max_words, norm_tol):
 
     def contractivity():
         for s in table.elements_up_to(L):
-            nrm = operator_norm(sub.compress(s), tol=norm_tol)
+            op = sub.compress(s)  # as a rule a 0/1 partial map (s*r = s*r' forces r = r'): norm 0 or 1
+            nrm = 1.0 if op.is_partial_map() else operator_norm(op, tol=norm_tol)
             if nrm > 1 + 1e-12:
                 raise SemifdError("compression norm %r > 1 at s=%s" % (nrm, table.str_of(s)))
         return "all <= 1"
@@ -261,7 +264,7 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
 
     def norm_ladder():
         ladder = sorted({max(1, D // 4), max(1, D // 2), D})
-        values = [funcalg.multiplier_norm_lower(kernel, phi, dd, tol=norm_tol) for dd in ladder]
+        values = [funcalg.multiplier_norm_lower(kernel, phi, dd, norm_tol, max_words) for dd in ladder]
         for lo, hi in zip(values, values[1:]):
             if lo > hi + 1e-10:
                 raise SemifdError("compression norms decreased along %r" % (ladder,))

@@ -13,8 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+import scipy.sparse
+
 from .errors import DegreeOverflowError, KernelSpecError, SemifdError
-from .linrep import Basis, SparseOperator, operator_norm
+from .linrep import Basis, SparseOperator, _canonical, operator_norm
 
 Multidx = tuple[int, ...]
 
@@ -161,17 +164,27 @@ def fock_basis(kernel: KernelSpec, D: int) -> Basis:
 def multiplication(kernel: KernelSpec, phi: Polynomial, dom: Basis, cod: Basis) -> SparseOperator:
     """Multiplication by phi between Fock bases, dom a prefix of cod; images
     beyond cod are dropped, so dom = cod gives the square compression. Entries
-    are c ||z^(alpha+beta)|| / ||z^alpha||."""
+    are c ||z^(alpha+beta)|| / ||z^alpha||, rounded as the scalar (c * a) / b
+    is, with rows found by the exponent vectors alpha + beta."""
     if phi.d != kernel.d:
         raise SemifdError("polynomial has %d variables, kernel has %d" % (phi.d, kernel.d))
-    norms = [monomial_norm(kernel, a) for a in cod.labels]
-    entries = {}
-    for col, alpha in enumerate(dom.labels):
-        for beta, c in phi.coeffs.items():
-            row = cod.find(tuple(x + y for x, y in zip(alpha, beta)))
-            if row >= 0:
-                entries[(row, col)] = c * norms[row] / norms[col]
-    return SparseOperator(dom, cod, entries)
+    if kernel.d == 1:  # alpha!/|alpha|! = 1, so monomial_norm is sqrt(1.0 / c_n), bit for bit
+        norms = np.sqrt(1.0 / np.array([kernel.c(n) for (n,) in cod.labels]))
+    else:
+        norms = np.array([monomial_norm(kernel, a) for a in cod.labels])
+    labels = np.array(cod.labels, dtype=np.int64).reshape(cod.dim, kernel.d)
+    betas = np.array(list(phi.coeffs), dtype=np.int64).reshape(1, -1, kernel.d)
+    targets = (labels[: dom.dim, None] + betas).reshape(-1, kernel.d)
+    # rows by exponent vectors keyed by their bytes, an order in which equal means equal
+    keys, want = (np.ascontiguousarray(x).view("V%d" % (8 * kernel.d)).ravel() for x in (labels, targets))
+    order = np.argsort(keys)
+    at = order[np.searchsorted(keys, want, sorter=order) % cod.dim]  # past the end wraps to a mismatch
+    rows = np.where(keys[at] == want, at, -1)
+    cols = np.arange(dom.dim).repeat(betas.shape[1])
+    c = np.tile(np.array(list(phi.coeffs.values()), dtype=complex), dom.dim)[rows >= 0]
+    rows, cols = rows[rows >= 0], cols[rows >= 0]
+    data = c.real * norms[rows] / norms[cols] + 1j * (c.imag * norms[rows] / norms[cols]) + 0.0  # -0.0 -> 0.0
+    return _canonical(dom, cod, scipy.sparse.coo_array((data, (rows, cols)), shape=(cod.dim, dom.dim)))
 
 
 def mult_operator(kernel: KernelSpec, phi: Polynomial, D: int) -> SparseOperator:
@@ -180,7 +193,9 @@ def mult_operator(kernel: KernelSpec, phi: Polynomial, D: int) -> SparseOperator
     return multiplication(kernel, phi, fock_basis(kernel, D), fock_basis(kernel, D + phi.degree))
 
 
-def multiplier_norm_lower(kernel: KernelSpec, phi: Polynomial, D: int, tol: float = 1e-9) -> float:
+def multiplier_norm_lower(
+    kernel: KernelSpec, phi: Polynomial, D: int, tol: float = 1e-9, max_words: int | None = None
+) -> float:
     """Norm of the compression of M_phi to the degree<=D subspace.
 
     The subspace is coinvariant for multipliers, so these values are
@@ -188,7 +203,7 @@ def multiplier_norm_lower(kernel: KernelSpec, phi: Polynomial, D: int, tol: floa
     the kernel coefficients c_0..c_D enter.
     """
     basis = fock_basis(kernel, D)
-    return operator_norm(multiplication(kernel, phi, basis, basis), tol=tol)
+    return operator_norm(multiplication(kernel, phi, basis, basis), tol, max_words)
 
 
 def homogeneous_decompose(phi: Polynomial) -> list[tuple[int, Polynomial]]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import eig_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
 from .enumeration import EnumerationTable, MonoidElement
-from .errors import BasisMismatchError, LengthBoundError, SemifdError
+from .errors import BasisMismatchError, LengthBoundError, ResourceLimitError, SemifdError
 
 
 class Basis:
@@ -162,6 +162,13 @@ class SparseOperator:
     def is_zero(self) -> bool:
         return not len(self.data)
 
+    def is_partial_map(self) -> bool:
+        """Exactly: every entry is 1 and no row or column holds two, so the
+        norm is 0 or 1. (indptr steps by at most 1 iff it takes nnz + 1 values.)"""
+        nnz = len(self.data)
+        return (len(set(self.indices.tolist())) == nnz and len(set(self.indptr.tolist())) == nnz + 1
+                and all(x == 1 for x in self.data.tolist()))
+
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if vec.shape != (self.domain.dim,):
             raise BasisMismatchError("vector length does not match domain")
@@ -250,38 +257,62 @@ def lambda_adjoint_op(table: EnumerationTable, p: MonoidElement, L: int) -> Spar
     return partial_map(basis, basis, rows)
 
 
-def operator_norm(A: SparseOperator, tol: float = 1e-9) -> float:
-    """Largest singular value sqrt(lambda_max(A*A)), certified to relative accuracy tol.
+def _band(kd: int, n: int, dtype) -> np.ndarray:
+    """Zeroed LAPACK lower band storage, (kd + 1) x n in Fortran order."""
+    return np.zeros((kd + 1, n), dtype=dtype, order="F")
 
-    The Gram matrix (dense if A has at most 4096 cells, else a sparse product)
-    goes to LAPACK in band storage when its half-bandwidth kd is small (band
-    reduction costs about 10 kd / n of a dense one), else dense. The eigenvalue
-    is exact for a Gram matrix within (n + m) eps max colsum(|A|*|A|) of A*A;
-    SemifdError if that bound, relative to it, exceeds tol.
+
+def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = None) -> float:
+    """Largest singular value of A as sqrt(theta), rounded, with theta <= lambda_max(A*A) <= mu certified.
+
+    theta0 ~ lambda_max(G), G = A*A (float64 for real A), is estimated by dense eigvalsh (n <= 64),
+    eig_banded (half-bandwidth kd <= 8) or ARPACK eigsh. A Cholesky of mu0 I - G, mu0 = theta0 (1 + 1e-12),
+    that runs to completion in band storage gives mu: mu0, Rump's pad (BIT 46, 2006, kd + 2 for n + 1; the
+    lesser of tr and (2kd + 1) max diag; normal range) and G's rounding. Inverse iteration with that factor
+    gives v; theta is |Av|^2 / |v|^2 in extended precision less its rounding bound. SemifdError if the
+    Cholesky fails or sqrt(mu / theta) - 1 > tol; ResourceLimitError first if (kd + 1) n > max_words.
     """
     if A.is_zero():
         return 0.0
-    m, n = A.codomain.dim, A.domain.dim
-    if m * n <= 4096:
-        M = A.to_dense()
-        gram = M.conj().T @ M
-        gi, gj = np.nonzero(gram)
-        g = gram[gi, gj]
+    n = A.domain.dim
+    M = A.to_dense() if n * A.codomain.dim <= 4096 else A.csr()  # sparse overhead would swamp small ones
+    M = M if A.data.imag.any() else M.real
+    G, v = scipy.sparse.coo_array(M.conj().T @ M), np.random.default_rng(0).standard_normal(n)
+    kd = int(abs(G.row.astype(np.int64) - G.col).max())
+    if max_words is not None and (kd + 1) * n > max_words:
+        raise ResourceLimitError("Gram band of %d x %d words exceeds cap %d" % (kd + 1, n, max_words))
+    band, low = _band(kd, n, G.dtype), G.row >= G.col
+    band[G.row[low] - G.col[low], G.col[low]] = G.data[low]
+    if n <= 64:
+        theta0 = np.linalg.eigvalsh(G.toarray())[-1]
+    elif kd <= 8:
+        theta0 = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(n - 1, n - 1))[0]
     else:
-        M = A.csr()
-        gram = (M.conj().T @ M).tocoo()
-        gi, gj, g = gram.row, gram.col, gram.data
-    kd = int(np.abs(gi - gj).max())
-    if 10 * (kd + 1) <= n:
-        low = gi >= gj
-        band = np.zeros((kd + 1, n), dtype=complex)
-        band[gi[low] - gj[low], gj[low]] = g[low]
-        eigs = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(n - 1, n - 1))
-    else:
-        eigs = np.linalg.eigvalsh(gram if isinstance(gram, np.ndarray) else gram.toarray())
-    lam = eigs[-1]
-    absM = abs(M)
-    resid = (n + m) * np.finfo(float).eps * (absM.T @ (absM @ np.ones(n))).max()
-    if not resid <= tol * lam:
-        raise SemifdError("norm not certified: error bound %.3e > tol %.3e" % (resid / lam, tol))
-    return float(np.sqrt(lam))
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # a 16-ms import, for d >= 2 only
+
+        try:
+            theta0 = eigsh(G.tocsr(), k=1, which="LA", return_eigenvectors=False, v0=v)[0]
+        except ArpackNoConvergence:
+            raise SemifdError("norm not certified: Lanczos did not converge")
+    band *= -1
+    band[0] += (mu0 := theta0 * (1 + 1e-12))
+    c, k2 = (2.0, 2) if M.dtype.kind == "c" else (1.0, 0)  # complex arithmetic: 2 gamma_(k+2)
+    gam = lambda k, u=2.0**-53: c * (k + k2) * u / (1 - c * (k + k2) * u)  # noqa: E731
+    diag, gram_err = band[0].real, gam(np.bincount(A.indices).max()) * (abs(M).T @ (abs(M) @ np.ones(n))).max()
+    mu = mu0 * (1 + 2.0**-53) + gam(kd + 2) / (1 - gam(kd + 2)) * min(diag.sum(), (2 * kd + 1) * diag.max())
+    mu = (mu + gram_err) * (1 + gam(n + 3))  # the last factor covers rounding in mu's own sums
+    try:
+        chol = cholesky_banded(band, lower=True, overwrite_ab=True)
+    except np.linalg.LinAlgError:
+        raise SemifdError("norm not certified: mu I - A*A is not definite at mu = %r" % mu0)
+    for _ in range(3):
+        v = cho_solve_banded((chol, True), v)
+        v /= np.linalg.norm(v)
+    ext, uL = (np.clongdouble if c > 1 else np.longdouble), np.finfo(np.longdouble).epsneg
+    Mx, vx, sq = M.astype(ext), v.astype(ext), lambda x: (x.real**2 + x.imag**2).sum()
+    y = Mx @ vx
+    r = gam(np.diff(A.indptr).max(), uL) * np.sqrt(sq(abs(Mx) @ abs(vx)) / sq(y))  # bounds |Av - y| / |y|
+    theta = sq(y) / sq(vx) * (1 - r) ** 2 * (1 - gam(4 * n + 16, uL))
+    if not (width := float(np.sqrt(mu / theta)) - 1) <= tol:
+        raise SemifdError("norm not certified: bracket width %.3e > tol %.3e" % (width, tol))
+    return float(np.sqrt(theta))

@@ -4,10 +4,13 @@ These deliberately avoid the package's incremental construction: classes are
 computed by global union-find over all words of a given length, divisors by
 scanning all factorizations of all representatives, kernel Gram entries by
 expanding the kernel power series with dict convolution, and sup norms by a
-dense grid on the circle. The table oracles at the end are the package's
-former all-pairs, all-triples and per-s cofactor loops over a table's
-products: slow, but they test the definitions directly rather than their
-Cayley-graph and divisor-closure reductions.
+dense grid on the circle. The table oracles are the package's former
+all-pairs, all-triples and per-s cofactor loops over a table's products:
+slow, but they test the definitions directly rather than their Cayley-graph
+and divisor-closure reductions. ``loop_multiplication`` is the package's
+former entry-by-entry multiplication operator, and ``free_symmetric_compression``
+builds the Drury-Arveson shifts from the free monoid's left regular
+representation, sharing no code with the monomial norms.
 """
 
 from __future__ import annotations
@@ -169,3 +172,43 @@ def gram_operator_norm(entries: np.ndarray) -> float:
     """Largest singular value via the eigenvalues of the Gram matrix A*A."""
     gram = entries.conj().T @ entries
     return float(np.sqrt(max(np.linalg.eigvalsh(gram).max(), 0.0)))
+
+
+def loop_multiplication(kernel, phi, dom, cod):
+    """Multiplication by phi, one entry at a time: the row of alpha + beta by
+    ``Basis.find`` and c ||z^(alpha+beta)|| / ||z^alpha|| as a Python scalar."""
+    from semifd import SparseOperator, monomial_norm
+
+    norms = [monomial_norm(kernel, a) for a in cod.labels]
+    entries = {}
+    for col, alpha in enumerate(dom.labels):
+        for beta, c in phi.coeffs.items():
+            row = cod.find(tuple(x + y for x, y in zip(alpha, beta)))
+            if row >= 0:
+                entries[(row, col)] = c * norms[row] / norms[col]
+    return SparseOperator(dom, cod, entries)
+
+
+def free_symmetric_compression(d: int, coeffs: dict, D: int, labels) -> np.ndarray:
+    """sum_alpha c_alpha lambda_(w_alpha) on the depth-D ball of the free monoid
+    on d letters, w_alpha = g_1^alpha_1 ... g_d^alpha_d, compressed to the unit
+    vectors u_gamma = (sum of e_w over words w with letter counts gamma) / sqrt
+    (number of them), one per exponent vector in ``labels``. By Arveson (Acta
+    Math. 181, 1998) span{u_gamma} is the symmetric Fock space, that is the
+    Drury-Arveson space, with u_gamma the normalised monomial z^gamma."""
+    import semifd as sf
+
+    top = D + max(sum(a) for a in coeffs)
+    table = sf.enumerate_monoid(sf.free(d), top)
+    counts = sf.enumerate_monoid(sf.nat(d), top)
+    ab = sf.abelianization(table, counts)
+    ball = len(table.elements_up_to(D))
+    U = np.zeros((ball, len(labels)))
+    for j, gamma in enumerate(labels):
+        fiber = ab.fiber(counts.element_from_word(tuple(i for i in range(d) for _ in range(gamma[i]))))
+        U[[p.index for p in fiber], j] = 1 / np.sqrt(len(fiber))
+    a = np.zeros((ball, ball), dtype=complex)
+    for alpha, c in coeffs.items():
+        w = table.element_from_word(tuple(i for i in range(d) for _ in range(alpha[i])))
+        a += c * sf.lambda_op(table, w, D).csr()[:ball].toarray()  # P_D lambda_w on the ball
+    return U.T @ a @ U

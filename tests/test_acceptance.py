@@ -318,3 +318,13 @@ def test_criterion_12_reports_match_goldens(num, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["--config", str(config), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / ("criterion_%02d.json" % num)).read_bytes()
+
+
+def test_criterion_17_drury_arveson_norm_at_scale():
+    # 20,301 dims, Gram half-bandwidth 400: a dense eigensolve is out of reach,
+    # ARPACK plus a banded Cholesky certifies the norm at the default tol
+    phi = sf.Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0, (1, 1): 1.0})
+    with criterion(17, "Drury-Arveson d=2 norm at 20,301 dims", budget=5.0):
+        val = sf.multiplier_norm_lower(sf.drury_arveson(2), phi, 200)
+    # compressions only grow with D, and ||M_phi|| <= 1 + ||M_z1|| + ||M_z1z2|| = 3
+    assert sf.multiplier_norm_lower(sf.drury_arveson(2), phi, 60) <= val <= 3.0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from semifd import funcalg
+from semifd import cli, funcalg, linrep
 from semifd.cli import main
 
 
@@ -251,6 +251,34 @@ def test_fock_dimension_cap_trips_before_any_basis(tmp_path, capsys, monkeypatch
     status, report, err = run(tmp_path, capsys, config)
     assert status == 3 and report is None
     assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+def test_gram_band_cap_trips_before_the_band(tmp_path, capsys, monkeypatch):
+    # Drury-Arveson d=2 at D=40: the Fock dimension C(42, 2) = 861 passes the
+    # cap of 1000, but the ladder's first rung, D=10, has a Gram band of
+    # half-bandwidth 20 on 66 monomials: 21 x 66 = 1,386 words
+    def no_band(*args):
+        raise AssertionError("the band was allocated")
+
+    monkeypatch.setattr(linrep, "_band", no_band)
+    phi = [{"exponents": [0, 0], "re": 1.0}, {"exponents": [1, 0], "re": 1.0}, {"exponents": [1, 1], "re": 1.0}]
+    config = {"command": "funcalg", "kernel": {"name": "drury_arveson", "d": 2}, "phi": phi, "D": 40}
+    status, report, err = run(tmp_path, capsys, config, extra=("--max-words", "1000"))
+    assert status == 3 and report is None
+    assert err == "resource limit: Gram band of 21 x 66 words exceeds cap 1000\n"
+
+
+def test_fdapprox_contractivity_is_exact(tmp_path, capsys, monkeypatch):
+    # every compression to Y_F is a 0/1 partial map, certified from its arrays
+    def no_norm(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(cli, "operator_norm", no_norm)
+    config = {"command": "fdapprox", "presentation": {"builtin": "braid", "n": 4}, "F": ["s1.s2.s3.s1", "s2.s3"], "L": 4}
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 0, err
+    (check,) = [c for c in report["checks"] if c["name"] == "contractivity"]
+    assert check == {"name": "contractivity", "status": "pass", "witness": "all <= 1"}
 
 
 def test_covariance_needs_coefficients_up_to_D_only(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import semifd as sf
 
-from oracles import circle_sup_norm, kernel_gram_norms
+from oracles import circle_sup_norm, free_symmetric_compression, kernel_gram_norms, loop_multiplication
 
 
 def poly(d, coeffs):
@@ -130,6 +130,45 @@ def test_mult_operator_is_multiplicative():
     q = poly(2, {(0, 1): 1.0, (1, 1): -1.0})
     lhs = sf.mult_operator(k, p, 2 + q.degree) @ sf.mult_operator(k, q, 2)
     assert lhs == sf.mult_operator(k, p * q, 2)
+
+
+KERNELS = {
+    "hardy": sf.hardy(),
+    "dirichlet": sf.dirichlet(),
+    "da2": sf.drury_arveson(2),
+    "da3": sf.drury_arveson(3),
+    "custom2": sf.KernelSpec(2, "custom", tuple(1.0 / (n + 1) ** 0.37 for n in range(40))),
+}
+
+
+@pytest.mark.parametrize("name, D", [("hardy", 200), ("dirichlet", 160), ("da2", 14), ("da3", 7), ("custom2", 12)])
+def test_multiplication_matches_entry_loop_bit_for_bit(name, D):
+    # degrees above 150 take monomial_norm's lgamma branch; dom = cod, dom
+    # smaller than cod, and images dropped beyond cod are all covered
+    kernel = KERNELS[name]
+    rng = np.random.default_rng(D)
+    for trial in range(3):
+        coeffs = {tuple(int(x) for x in rng.multinomial(n, [1 / kernel.d] * kernel.d)): c
+                  for n, c in zip((0, 1, 2, 3), (1.0, rng.normal() * 1j, complex(*rng.normal(size=2)), -0.5))}
+        phi = sf.Polynomial(kernel.d, coeffs)
+        for lo, hi in ((D, D), (D, D + 3), (D - 2, D)):
+            dom, cod = sf.fock_basis(kernel, lo), sf.fock_basis(kernel, hi)
+            new = sf.funcalg.multiplication(kernel, phi, dom, cod)
+            old = loop_multiplication(kernel, phi, dom, cod)
+            assert np.array_equal(new.indptr, old.indptr) and np.array_equal(new.indices, old.indices)
+            assert np.array_equal(new.data.view(np.uint64), old.data.view(np.uint64))  # the same bits
+
+
+@pytest.mark.parametrize("d, D", [(2, 6), (3, 6)])
+def test_free_monoid_symmetric_compression_is_drury_arveson(d, D):
+    # the semigroup side (lambda_op, abelianization fibers) shares no code with monomial_norm
+    coeffs = {(0,) * d: 1.0, (1,) + (0,) * (d - 1): 0.5 - 0.25j, (1, 1) + (0,) * (d - 2): 0.75j, (0,) * (d - 1) + (2,): -0.3}
+    kernel = sf.drury_arveson(d)
+    basis = sf.fock_basis(kernel, D)
+    expected = free_symmetric_compression(d, coeffs, D, basis.labels)
+    M = sf.funcalg.multiplication(kernel, sf.Polynomial(d, coeffs), basis, basis)
+    assert np.abs(M.to_dense() - expected).max() <= 1e-15
+    assert sf.operator_norm(M) == pytest.approx(np.linalg.svd(expected, compute_uv=False)[0], rel=1e-12)
 
 
 def test_mult_operator_dimension_mismatch():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semifd as sf
+from semifd import linrep
 from semifd.linrep import partial_map
 
 from oracles import gram_operator_norm
@@ -185,12 +187,20 @@ def test_operator_norm_large_diagonal():
 
 @pytest.mark.parametrize(
     "n, width",
-    [(300, 0), (300, 3), (300, 14), (60, 2), (300, 15), (300, 200), (12, 1), (7, 0)],
+    [(300, 0), (300, 3), (300, 4), (300, 14), (60, 2), (300, 15), (300, 200), (65, 5), (64, 40), (12, 1), (7, 0)],
 )
-def test_banded_and_dense_gram_match_svd(n, width):
-    # the Gram matrix has half-bandwidth kd = 2 * width; band storage is used
-    # when 10 (kd + 1) <= n, so the first four cases are banded, the rest
-    # dense; the Gram matrix is formed densely for n <= 64, sparsely above
+def test_banded_and_dense_gram_match_svd(n, width, monkeypatch):
+    # the Gram matrix has half-bandwidth kd = min(2 * width, n - 1); its top
+    # eigenvalue is estimated by dense eigvalsh when n <= 64, by eig_banded
+    # when kd <= 8 and by ARPACK eigsh otherwise, so the cases hit all three
+    # on both sides of each switch; every estimate then goes through the same
+    # Cholesky certificate and inverse iteration
+    kd = min(2 * width, n - 1)
+    expected = "eigvalsh" if n <= 64 else "eig_banded" if kd <= 8 else "eigsh"
+    calls = []
+    for module, name in ((np.linalg, "eigvalsh"), (linrep, "eig_banded"), (scipy.sparse.linalg, "eigsh")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
     rng = np.random.default_rng(n + width)
     b = sf.Basis(("band", n, width), tuple(range(n)))
     entries = {
@@ -201,6 +211,65 @@ def test_banded_and_dense_gram_match_svd(n, width):
     A = sf.SparseOperator(b, b, entries)
     oracle = float(np.linalg.svd(A.to_dense(), compute_uv=False)[0])
     assert sf.operator_norm(A) == pytest.approx(oracle, rel=1e-12)
+    assert calls == [expected]
+
+
+@pytest.mark.parametrize("estimator", ["eigvalsh", "eig_banded", "eigsh"])
+def test_estimate_below_lambda_max_fails_the_cholesky(estimator, monkeypatch):
+    # a mutation of the estimate: mu0 = theta0 (1 + 1e-12) lands below
+    # lambda_max, so mu0 I - A*A is indefinite and the certificate must refuse
+    n, width = {"eigvalsh": (40, 2), "eig_banded": (200, 1), "eigsh": (200, 10)}[estimator]
+    module = {"eigvalsh": np.linalg, "eig_banded": linrep, "eigsh": scipy.sparse.linalg}[estimator]
+    real = getattr(module, estimator)
+    monkeypatch.setattr(module, estimator, lambda *a, **k: real(*a, **k) * (1 - 1e-6))
+    rng = np.random.default_rng(n)
+    b = sf.Basis(("low", n), tuple(range(n)))
+    A = sf.SparseOperator(b, b, {(i, j): rng.normal() for i in range(n) for j in range(i, min(n, i + width + 1))})
+    with pytest.raises(sf.SemifdError, match="not certified: mu I - A\\*A is not definite"):
+        sf.operator_norm(A)
+
+
+def test_lanczos_without_convergence_is_not_certified(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    b = sf.Basis(("stall",), tuple(range(100)))
+    A = sf.SparseOperator(b, b, {(i, j): 1.0 for i in range(100) for j in (i, (i + 9) % 100)})
+    with pytest.raises(sf.SemifdError, match="Lanczos did not converge"):
+        sf.operator_norm(A)
+
+
+def test_operator_norm_bracket_contains_dense_value_at_D60():
+    # Drury-Arveson d=2, 1 + z1 + z1 z2 at D = 60: n = 1,891, kd = 120. The
+    # bracket [value, value (1 + tol)] holds the dense eigvalsh oracle, up to
+    # that oracle's own rounding (1e-14 relative)
+    kernel, tol = sf.drury_arveson(2), 1e-11
+    basis = sf.fock_basis(kernel, 60)
+    A = sf.funcalg.multiplication(kernel, sf.Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0, (1, 1): 1.0}), basis, basis)
+    value, oracle = sf.operator_norm(A, tol=tol), gram_operator_norm(A.to_dense().real)  # phi is real
+    assert value * (1 - 1e-14) <= oracle <= value * (1 + tol) * (1 + 1e-14)
+
+
+def test_band_cap_trips_before_the_band_is_allocated(monkeypatch):
+    def no_band(*args):
+        raise AssertionError("the band was allocated")
+
+    monkeypatch.setattr(linrep, "_band", no_band)
+    b = sf.Basis(("cap",), tuple(range(100)))
+    A = sf.SparseOperator(b, b, {(i, j): 1.0 for i in range(100) for j in (i, (i + 9) % 100)})
+    with pytest.raises(sf.ResourceLimitError, match="exceeds cap 1000"):
+        sf.operator_norm(A, max_words=1000)
+
+
+def test_is_partial_map_is_exact():
+    b = sf.Basis(("pm",), tuple(range(4)))
+    assert partial_map(b, b, [2, -1, 0, 3]).is_partial_map()
+    assert sf.zero_operator(b, b).is_partial_map()
+    assert not partial_map(b, b, [2, 2, 0, 3]).is_partial_map()  # two 1s in row 2
+    assert not sf.SparseOperator(b, b, {(0, 1): 1.0, (1, 1): 1.0}).is_partial_map()  # two in column 1
+    assert not sf.SparseOperator(b, b, {(0, 1): 2.0}).is_partial_map()
+    assert not sf.SparseOperator(b, b, {(0, 1): 1j}).is_partial_map()
 
 
 @pytest.mark.parametrize("n, m", [(40, 90), (70, 150)])
