@@ -190,7 +190,7 @@ def _cmd_fdapprox(cfg, max_words, norm_tol):
         for s in table.elements_up_to(L):
             op = sub.compress(s)  # as a rule a 0/1 partial map (s*r = s*r' forces r = r'): norm 0 or 1
             nrm = 1.0 if op.is_partial_map() else operator_norm(op, tol=norm_tol)
-            if nrm > 1 + 1e-12:
+            if not nrm <= 1 + 1e-12:  # NaN fails
                 raise SemifdError("compression norm %r > 1 at s=%s" % (nrm, table.str_of(s)))
         return "all <= 1"
 
@@ -266,7 +266,7 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
         ladder = sorted({max(1, D // 4), max(1, D // 2), D})
         values = [funcalg.multiplier_norm_lower(kernel, phi, dd, norm_tol, max_words) for dd in ladder]
         for lo, hi in zip(values, values[1:]):
-            if lo > hi + 1e-10:
+            if not lo <= hi + 1e-10:  # NaN fails
                 raise SemifdError("compression norms decreased along %r" % (ladder,))
         tables["norm_lower_bounds"] = [[dd, v] for dd, v in zip(ladder, values)]
         return {"D": D, "norm_lower": values[-1]}
@@ -283,7 +283,7 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
             rotated = funcalg.circle_action(phi, zeta.conjugate())
             rhs = funcalg.multiplication(kernel, rotated, basis, basis).to_dense()
             err = float(np.abs(lhs - rhs).max())
-            if err > 1e-12:
+            if not err <= 1e-12:  # NaN fails
                 raise SemifdError("covariance violated at 8th root %d: err %r" % (k, err))
         return "within 1e-12"
 

@@ -159,14 +159,12 @@ def fell_intertwiner_at(spec: CoactionSpec, L_P: int, L_Q: int) -> SparseOperato
         )
     bP, bQ = graded_basis(spec.source, L_P), graded_basis(spec.target, L_Q)
     bQ_cod = graded_basis(spec.target, L_Q + growth)
-    ks = spec.target.elements_up_to(L_Q)
     images: dict[int, list[int]] = {}  # phi(p) -> positions of phi(p) k, k in the L_Q ball
     rows = []
-    for p in spec.source.elements_up_to(L_P):
-        vp = spec.phi(p)
-        if vp.index not in images:
-            images[vp.index] = [spec.target.multiply(vp, k).index for k in ks]
-        rows.extend([p.index * bQ_cod.dim + r for r in images[vp.index]])
+    for p, vp in enumerate(spec.phi.images[: bP.dim]):
+        if vp not in images:
+            images[vp] = spec.target.left_products(spec.target.element(vp), L_Q)
+        rows.extend([p * bQ_cod.dim + r for r in images[vp]])
     return partial_map(tensor_basis(bP, bQ), tensor_basis(bP, bQ_cod), rows)
 
 

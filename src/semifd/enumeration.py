@@ -51,8 +51,10 @@ class EnumerationTable:
 
     Immutable after construction; every query is pure. Elements are indexed
     in (length, shortlex) order. The right and left Cayley graphs x -> x.g
-    and x -> g.x (for |x| < L) are stored; multiplication walks the right
-    one, and divisor sets and witnesses are read off both.
+    and x -> g.x (for |x| < L) are stored, with the spanning tree of the
+    first: _parent[x] = (p, g) where canon(x) = canon(p).g. Products walk the
+    right graph, products over a ball follow the tree, and divisor sets and
+    witnesses are read off both graphs.
     """
 
     def __init__(self, presentation: MonoidPresentation, L: int, max_words: int = 10**6):
@@ -65,6 +67,7 @@ class EnumerationTable:
         self.by_length: list[range] = [range(1)]
         self._right: list[tuple[int, ...]] = []  # _right[x][g] = x.g
         self._left: list[tuple[int, ...]] = []  # _left[x][g] = g.x
+        self._parent: list[tuple[int, int]] = [(0, 0)]  # (p, g) with canon(x) = canon(p).g
         self._divisor_cache: tuple[dict, dict] = ({}, {})
         self._enumerate()
 
@@ -79,7 +82,6 @@ class EnumerationTable:
         ngen = len(self.presentation.generators)
         # relation u'a = v'b identifies (x.u', a) with (x.v', b)
         joins = [(u[:-1], u[-1], v[:-1], v[-1]) for u, v in self.presentation.relations if u != v]
-        parent_pair = [(0, 0)]  # (p, g) with canon(x) = canon(p).g
         for n in range(1, self.L + 1):
             level = self.by_length[n - 1]
             if level.stop * ngen > self.max_words:
@@ -102,16 +104,13 @@ class EnumerationTable:
                     p += level.start
                     ids.append(len(self.elements))
                     self.elements.append(MonoidElement(ids[i], self.elements[p].word + (g,)))
-                    parent_pair.append((p, g))
+                    self._parent.append((p, g))
                 else:
                     ids.append(ids[r])
             self.by_length.append(range(level.stop, len(self.elements)))
             self._right.extend(tuple(ids[k : k + ngen]) for k in range(0, len(ids), ngen))
-            # g.x = (g.p).h where canon(x) = canon(p).h
-            for x in level:
-                p, h = parent_pair[x]
-                row = self._right[0] if x == 0 else tuple(self._right[q][h] for q in self._left[p])
-                self._left.append(row)
+        gens = map(self.element, self._right[0] if self._right else ())
+        self._left = list(zip(*(self.left_products(g, self.L - 1) for g in gens)))
 
     # -- identity and lookup ------------------------------------------------
 
@@ -155,6 +154,18 @@ class EnumerationTable:
                 "product length %d exceeds bound %d" % (x.length + y.length, self.L)
             )
         return self.elements[self._walk(x.index, y.word)]
+
+    def left_products(self, v: MonoidElement, L: int) -> list[int]:
+        """Indices of v.x for |x| <= L, in index order: one right-graph step per
+        x, since v.(canon(p).g) = (v.p).g along the spanning tree."""
+        if L < 0:
+            return []
+        if v.length + L > self.L:
+            raise LengthBoundError("product length %d exceeds bound %d" % (v.length + L, self.L))
+        out, right = [v.index], self._right
+        for p, g in self._parent[1 : self.by_length[L].stop]:
+            out.append(right[out[p]][g])
+        return out
 
     # -- divisor sets --------------------------------------------------------
 
@@ -239,11 +250,7 @@ class EnumerationTable:
         bound used, since a larger bound could still change the answer.
         """
         def right_multiples(a: MonoidElement) -> set[int]:
-            out = set()
-            for n in range(self.L - a.length + 1):
-                for x_idx in self.by_length[n]:
-                    out.add(self.multiply(a, self.elements[x_idx]).index)
-            return out
+            return set(self.left_products(a, self.L - a.length))
 
         common = right_multiples(p) & right_multiples(q)
         report = {"bound": self.L, "intersection_size": len(common)}
@@ -292,20 +299,23 @@ class ControlledMap:
                 "generator images must have length >= 1 (finite-fiber bookkeeping)"
             )
         for lhs, rhs in source.presentation.relations:
-            if self._map_word(lhs) != self._map_word(rhs):
+            u, v = (sum((self.gen_images[g].word for g in w), ()) for w in (lhs, rhs))
+            if target.element_from_word(u) != target.element_from_word(v):
                 raise ControlledMapError(
                     "images violate relation %s = %s"
                     % (source.presentation.word_str(lhs), source.presentation.word_str(rhs))
                 )
-
-    def _map_word(self, word: Word) -> MonoidElement:
-        out = self.target.identity
-        for g in word:
-            out = self.target.multiply(out, self.gen_images[g])
-        return out
+        # images[x] = index of phi(x), -1 past target.L: phi(canon(p).g) = phi(p).phi(g)
+        self.images = [0]
+        for p, g in source._parent[1:]:
+            x, y = self.images[p], self.gen_images[g]
+            fits = x >= 0 and target.elements[x].length + y.length <= target.L
+            self.images.append(target._walk(x, y.word) if fits else -1)
 
     def __call__(self, x: MonoidElement) -> MonoidElement:
-        return self._map_word(x.word)
+        if (i := self.images[x.index]) < 0:
+            raise LengthBoundError("image of %s exceeds bound %d" % (self.source.str_of(x), self.target.L))
+        return self.target.elements[i]
 
     def fiber(self, q: MonoidElement) -> frozenset:
         """Complete finite fiber phi^{-1}(q)."""
@@ -315,7 +325,7 @@ class ControlledMap:
                 "source bound %d too small for fiber over length-%d element"
                 % (self.source.L, q.length)
             )
-        return frozenset(p for p in self.source.elements_up_to(needed) if self(p) == q)
+        return frozenset(p for p in self.source.elements_up_to(needed) if self.images[p.index] == q.index)
 
 
 def length_map(source: EnumerationTable, target: EnumerationTable) -> ControlledMap:

@@ -10,6 +10,7 @@ the additive naturals.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,9 +31,11 @@ class Polynomial:
     def __init__(self, d: int, coeffs: dict[Multidx, complex]):
         self.d = d
         for alpha in coeffs:
-            if len(alpha) != d or any(a < 0 for a in alpha):
+            if len(alpha) != d or not all(type(a) is int and a >= 0 for a in alpha):
                 raise SemifdError("bad exponent vector %r for %d variables" % (alpha, d))
         self.coeffs = {a: complex(c) for a, c in coeffs.items() if c != 0}
+        if not all(map(cmath.isfinite, self.coeffs.values())):
+            raise SemifdError("polynomial coefficients must be finite")
 
     @classmethod
     def parse_terms(cls, d: int, terms) -> "Polynomial":
@@ -101,8 +104,8 @@ class KernelSpec:
                 raise KernelSpecError("custom kernel needs explicit coefficients")
             if self.explicit[0] != 1.0:
                 raise KernelSpecError("kernel must be normalized: c_0 = 1")
-            if any(c <= 0 for c in self.explicit):
-                raise KernelSpecError("kernel coefficients must be positive")
+            if not all(math.isfinite(c) and c > 0 for c in self.explicit):
+                raise KernelSpecError("kernel coefficients must be finite and positive")
         elif self.name not in ("hardy", "drury_arveson", "dirichlet"):
             raise KernelSpecError("unknown kernel %r" % self.name)
 

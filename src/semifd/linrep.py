@@ -242,8 +242,7 @@ def lambda_op(
     if table.L < L_cod:
         raise LengthBoundError("table enumerated to %d, need %d for lambda_%s on level %d"
                                % (table.L, L_cod, table.str_of(p), L))
-    rows = [table.multiply(p, q).index for q in table.elements_up_to(L)]
-    return partial_map(graded_basis(table, L), graded_basis(table, L_cod), rows)
+    return partial_map(graded_basis(table, L), graded_basis(table, L_cod), table.left_products(p, L))
 
 
 def lambda_adjoint_op(table: EnumerationTable, p: MonoidElement, L: int) -> SparseOperator:
@@ -252,8 +251,8 @@ def lambda_adjoint_op(table: EnumerationTable, p: MonoidElement, L: int) -> Spar
     the same truncation and the matrix is exact."""
     basis = graded_basis(table, L)
     rows = [-1] * basis.dim
-    for q in table.elements_up_to(L - p.length) if p.length <= L else ():
-        rows[table.multiply(p, q).index] = q.index
+    for q, r in enumerate(table.left_products(p, L - p.length)):
+        rows[r] = q
     return partial_map(basis, basis, rows)
 
 
@@ -269,8 +268,9 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     eig_banded (half-bandwidth kd <= 8) or ARPACK eigsh. A Cholesky of mu0 I - G, mu0 = theta0 (1 + 1e-12),
     that runs to completion in band storage gives mu: mu0, Rump's pad (BIT 46, 2006, kd + 2 for n + 1; the
     lesser of tr and (2kd + 1) max diag; normal range) and G's rounding. Inverse iteration with that factor
-    gives v; theta is |Av|^2 / |v|^2 in extended precision less its rounding bound. SemifdError if the
-    Cholesky fails or sqrt(mu / theta) - 1 > tol; ResourceLimitError first if (kd + 1) n > max_words.
+    gives v; theta is |Av|^2 / |v|^2 in extended precision less its rounding bound. SemifdError if G has a
+    non-finite entry, the Cholesky fails or sqrt(mu / theta) - 1 > tol; ResourceLimitError first if
+    (kd + 1) n > max_words.
     """
     if A.is_zero():
         return 0.0
@@ -283,6 +283,8 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
         raise ResourceLimitError("Gram band of %d x %d words exceeds cap %d" % (kd + 1, n, max_words))
     band, low = _band(kd, n, G.dtype), G.row >= G.col
     band[G.row[low] - G.col[low], G.col[low]] = G.data[low]
+    if not np.isfinite(band).all():
+        raise SemifdError("norm not certified: A*A has a non-finite entry")
     if n <= 64:
         theta0 = np.linalg.eigvalsh(G.toarray())[-1]
     elif kd <= 8:

@@ -86,26 +86,12 @@ def parse_presentation(text: str) -> MonoidPresentation:
     rels_raw = doc.get("relations", [])
     if not isinstance(rels_raw, list):
         raise PresentationError('"relations" must be a list of word pairs')
-    gens = tuple(gens)
-
-    def parse_word(text_w: str) -> Word:
-        if not isinstance(text_w, str):
-            raise PresentationError("relation words must be strings")
-        if text_w in ("", "e"):
-            return ()
-        out = []
-        for name in text_w.split("."):
-            if name not in gens:
-                raise PresentationError("unknown generator %r in relation" % name)
-            out.append(gens.index(name))
-        return tuple(out)
-
-    rels = []
+    pres = MonoidPresentation(tuple(gens), ())
     for pair in rels_raw:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise PresentationError("each relation must be a two-element list")
-        rels.append((parse_word(pair[0]), parse_word(pair[1])))
-    return MonoidPresentation(gens, tuple(rels), kind=doc.get("kind", "custom"))
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(w, str) for w in pair)):
+            raise PresentationError("each relation must be a list of two word strings")
+    rels = tuple(tuple(map(pres.parse_word, pair)) for pair in rels_raw)
+    return MonoidPresentation(pres.generators, rels, kind=doc.get("kind", "custom"))
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"

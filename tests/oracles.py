@@ -5,9 +5,10 @@ computed by global union-find over all words of a given length, divisors by
 scanning all factorizations of all representatives, kernel Gram entries by
 expanding the kernel power series with dict convolution, and sup norms by a
 dense grid on the circle. The table oracles are the package's former
-all-pairs, all-triples and per-s cofactor loops over a table's products:
-slow, but they test the definitions directly rather than their Cayley-graph
-and divisor-closure reductions. ``loop_multiplication`` is the package's
+all-pairs, all-triples and per-s cofactor loops over a table's products,
+and its per-letter image of a word under a controlled map: slow, but they
+test the definitions directly rather than their Cayley-graph and
+divisor-closure reductions. ``loop_multiplication`` is the package's
 former entry-by-entry multiplication operator, and ``free_symmetric_compression``
 builds the Drury-Arveson shifts from the free monoid's left regular
 representation, sharing no code with the monomial norms.
@@ -105,6 +106,15 @@ def table_divisors(table, p) -> tuple[set, set]:
                 rights.add(r)
                 lefts.add(q)
     return rights, lefts
+
+
+def word_image(phi, p):
+    """phi(p) as the package's former per-letter loop: the target product of
+    the generator images along the canonical word of p."""
+    out = phi.target.identity
+    for g in p.word:
+        out = phi.target.multiply(out, phi.gen_images[g])
+    return out
 
 
 def table_cancellative(table) -> bool:

@@ -215,6 +215,14 @@ def test_inline_presentation_document(tmp_path, capsys):
         {"command": "funcalg", "kernel": "hardy", "D": 4, "F": "ab"},
         {"command": "funcalg", "kernel": "hardy", "D": 4, "F": [1.5]},
         {"command": "funcalg", "kernel": "hardy", "D": 4, "F": [-1]},
+        {"command": "funcalg", "kernel": "hardy", "D": 4, "phi": [{"exponents": [1.5], "re": 1.0}]},
+        {"command": "funcalg", "kernel": "hardy", "D": 4, "phi": [{"exponents": [True], "re": 1.0}]},
+        {"command": "funcalg", "kernel": "hardy", "D": 4, "phi": [{"exponents": [1], "re": float("nan")}]},
+        {"command": "funcalg", "kernel": "hardy", "D": 4, "phi": [{"exponents": [1], "im": float("inf")}]},
+        {"command": "funcalg", "kernel": {"name": "custom", "coefficients": [1.0, float("nan"), 1.0]}, "D": 2},
+        {"command": "funcalg", "kernel": {"name": "custom", "coefficients": [1.0, float("inf"), 1.0]}, "D": 2},
+        {"command": "enumerate", "presentation": {"generators": ["a", "b"], "relations": [["a.b", 3]]}},
+        {"command": "enumerate", "presentation": {"generators": ["a", "b"], "relations": [["a.b"]]}},
     ],
     ids=[
         "negative-L",
@@ -232,6 +240,14 @@ def test_inline_presentation_document(tmp_path, capsys):
         "funcalg-string-F",
         "funcalg-float-in-F",
         "funcalg-negative-in-F",
+        "polynomial-float-exponent",
+        "polynomial-boolean-exponent",
+        "polynomial-nan-coefficient",
+        "polynomial-infinite-coefficient",
+        "custom-kernel-nan-coefficient",
+        "custom-kernel-infinite-coefficient",
+        "non-string-relation-word",
+        "one-word-relation",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, config):
@@ -293,3 +309,21 @@ def test_covariance_needs_coefficients_up_to_D_only(tmp_path, capsys):
     assert status == 0, err
     (check,) = [c for c in report["checks"] if c["name"] == "circle-covariance"]
     assert check == {"name": "circle-covariance", "status": "pass", "witness": "within 1e-12"}
+
+
+@pytest.mark.parametrize(
+    "kernel, phi, D, check, witness",
+    [
+        # (1e200)^2 overflows the Gram band: refused before any estimator runs
+        ("hardy", [[0, 1e200], [1, 1.0]], 100, "norm-monotone", "norm not certified: A*A has a non-finite entry"),
+        ("hardy", [[0, 1e160], [1, 1.0]], 8, "norm-monotone", "norm not certified: A*A has a non-finite entry"),
+        # 1e308 times a Dirichlet norm ratio above 1 overflows: every error is nan, and nan fails
+        ("dirichlet", [[0, 1.0], [3, 1e308]], 8, "circle-covariance", "covariance violated at 8th root 0: err nan"),
+    ],
+    ids=["overflow-banded", "overflow-dense", "nan-covariance"],
+)
+def test_non_finite_values_fail_their_check(tmp_path, capsys, kernel, phi, D, check, witness):
+    terms = [{"exponents": [n], "re": c} for n, c in phi]
+    status, report, err = run(tmp_path, capsys, {"command": "funcalg", "kernel": kernel, "phi": terms, "D": D})
+    assert status == 1 and "Traceback" not in err
+    assert {"name": check, "status": "fail", "witness": witness} in report["checks"]

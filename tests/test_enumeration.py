@@ -14,6 +14,7 @@ from oracles import (
     table_associative,
     table_cancellative,
     table_divisors,
+    word_image,
 )
 
 
@@ -152,6 +153,31 @@ def test_cayley_graph_reads_match_table_oracles(pres, L):
     table.check_cancellation()
     table.check_associativity()
     assert table_cancellative(table) and table_associative(table)
+    # products over a ball follow the spanning tree; the left graph is their transpose
+    for v in table.elements:
+        for k in range(-1, L - v.length + 1):
+            ball = table.elements_up_to(k) if k >= 0 else []
+            assert table.left_products(v, k) == [table.multiply(v, x).index for x in ball]
+        with pytest.raises(sf.LengthBoundError):
+            table.left_products(v, L - v.length + 1)
+    ngen = len(pres.generators)
+    gens = [table.element_from_word((g,)) for g in range(ngen)]
+    assert table._left == [tuple(table.multiply(g, x).index for g in gens) for x in table.elements_up_to(L - 1)]
+    # phi along the tree against the per-letter image; a short target raises past its bound
+    line, short = sf.enumerate_monoid(sf.nat(1), ngen * L), sf.enumerate_monoid(sf.nat(1), L - 1)
+    maps = [sf.length_map(table, line), sf.length_map(table, short)]
+    if pres.kind != "braid":  # the relations hold in commutative images
+        powers = [line.element_from_word((0,) * (g + 1)) for g in range(ngen)]  # a -> x, b -> x^2, ...
+        maps += [sf.abelianization(table, sf.enumerate_monoid(sf.nat(ngen), L)), sf.ControlledMap(table, line, powers)]
+    for phi in maps:
+        for p in table.elements:
+            if sum(phi.gen_images[g].length for g in p.word) <= phi.target.L:
+                assert phi(p) == word_image(phi, p)
+            else:
+                with pytest.raises(sf.LengthBoundError):
+                    phi(p)
+    with pytest.raises(sf.LengthBoundError):
+        maps[1](table.elements[-1])
 
 
 @pytest.mark.parametrize("lhs, side", [("a.b", "left"), ("b.a", "right")])

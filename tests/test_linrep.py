@@ -379,3 +379,17 @@ def test_tensor_index_matches_pair_enumeration(free2, braid3):
     assert b2.find(absent) == -1 and T.find((0, absent)) == -1
     with pytest.raises(KeyError):
         T.index_of((0, absent))
+
+
+@pytest.mark.parametrize("n, width", [(1, 0), (100, 0), (100, 10)], ids=["eigvalsh", "eig_banded", "eigsh"])
+def test_overflowing_gram_is_not_certified(n, width, monkeypatch):
+    # (1e200)^2 overflows: the refusal comes before any estimator runs
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimator ran")
+
+    for module, name in ((np.linalg, "eigvalsh"), (linrep, "eig_banded"), (scipy.sparse.linalg, "eigsh")):
+        monkeypatch.setattr(module, name, no_estimate)
+    b = sf.Basis(("inf", n), tuple(range(n)))
+    A = sf.SparseOperator(b, b, {(i, j): 1e200 for i in range(n) for j in range(i, min(n, i + width + 1))})
+    with pytest.raises(sf.SemifdError, match="norm not certified: A\\*A has a non-finite entry"):
+        sf.operator_norm(A)
