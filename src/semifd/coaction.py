@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .enumeration import ControlledMap, EnumerationTable, MonoidElement
 from .errors import LengthBoundError, SemifdError
 from .linrep import (
@@ -154,17 +156,13 @@ def fell_intertwiner_at(spec: CoactionSpec, L_P: int, L_Q: int) -> SparseOperato
     largest |phi(p)| over |p| <= L_P."""
     growth = _growth(spec, L_P)
     if spec.target.L < L_Q + growth:
-        raise LengthBoundError(
-            "target enumerated to %d, need %d" % (spec.target.L, L_Q + growth)
-        )
+        raise LengthBoundError("target enumerated to %d, need %d" % (spec.target.L, L_Q + growth))
     bP, bQ = graded_basis(spec.source, L_P), graded_basis(spec.target, L_Q)
     bQ_cod = graded_basis(spec.target, L_Q + growth)
-    images: dict[int, list[int]] = {}  # phi(p) -> positions of phi(p) k, k in the L_Q ball
-    rows = []
-    for p, vp in enumerate(spec.phi.images[: bP.dim]):
-        if vp not in images:
-            images[vp] = spec.target.left_products(spec.target.element(vp), L_Q)
-        rows.extend([p * bQ_cod.dim + r for r in images[vp]])
+    # one row of positions of phi(p) k, k in the L_Q ball, per distinct phi(p)
+    images, inv = np.unique(spec.phi.images[: bP.dim], return_inverse=True)
+    prods = np.array([spec.target.left_products(spec.target.element(v), L_Q) for v in images.tolist()])
+    rows = (np.arange(bP.dim)[:, None] * bQ_cod.dim + prods[inv]).ravel()
     return partial_map(tensor_basis(bP, bQ), tensor_basis(bP, bQ_cod), rows)
 
 
@@ -192,9 +190,7 @@ def fell_intertwiner(spec: CoactionSpec, L_P: int, L_Q: int) -> tuple[SparseOper
         # right side: W first, then lambda_p (x) V_p
         rhs = lam_p.tensor(lambda_op(spec.target, vp, L_Q + growth, L_cod=L_Q + growth_up)) @ W
         if lhs != rhs:
-            raise SemifdError(
-                "Fell intertwining fails for generator %s" % spec.source.str_of(p)
-            )
+            raise SemifdError("Fell intertwining fails for generator %s" % spec.source.str_of(p))
         intertwined.append(spec.source.presentation.generators[g])
     report["intertwined_generators"] = intertwined
     return W, report

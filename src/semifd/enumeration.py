@@ -142,8 +142,8 @@ class EnumerationTable:
         return self.presentation.word_str(x.word)
 
     def elements_up_to(self, L: int) -> list[MonoidElement]:
-        if L > self.L:
-            raise LengthBoundError("requested level %d exceeds bound %d" % (L, self.L))
+        if not 0 <= L <= self.L:
+            raise LengthBoundError("requested level %d outside 0..%d" % (L, self.L))
         return self.elements[: self.by_length[L].stop]
 
     # -- multiplication ------------------------------------------------------

@@ -39,10 +39,8 @@ class DivisorSubspace:
     def compress(self, s: MonoidElement) -> SparseOperator:
         """Matrix of Q_F lambda_s Q_F restricted to Y_F; entries in {0, 1}."""
         top = self.max_length - s.length  # longer r send e_r outside Y_F
-        rows = [
-            self.basis.find(self.table.multiply(s, r).index) if r.length <= top else -1
-            for r in map(self.table.element, self.basis.labels)
-        ]
+        rows = [self.basis.find(self.table.multiply(s, r).index) if r.length <= top else -1
+                for r in map(self.table.element, self.basis.labels)]
         return partial_map(self.basis, self.basis, rows)
 
     def check_coinvariance(self):
@@ -72,25 +70,21 @@ def build_Y(table: EnumerationTable, F) -> DivisorSubspace:
     return DivisorSubspace(table, F, basis)
 
 
-def kernel_set(table: EnumerationTable, F, L: int) -> frozenset:
+def kernel_set(sub: DivisorSubspace, L: int, compressions=None) -> frozenset:
     """Elements s of length <= L whose compression to Y_F is 0.
 
     Computed twice: by matrix nullity and by the combinatorial complement of
     the union of left-divisor sets of right divisors of F. A mismatch means a
-    bug and raises.
+    bug and raises. compressions, if given, are sub.compress(s) over the L-ball.
     """
-    sub = build_Y(table, F)
+    table, ball = sub.table, sub.table.elements_up_to(L)
     allowed = set()
     for p in sub.F:
         for r in table.right_divisors(p):
             allowed.update(q.index for q in table.left_divisors(r))
-    by_matrix = set()
-    by_formula = set()
-    for s in table.elements_up_to(L):
-        if sub.compress(s).is_zero():
-            by_matrix.add(s.index)
-        if s.index not in allowed:
-            by_formula.add(s.index)
+    compressions = [sub.compress(s) for s in ball] if compressions is None else compressions
+    by_matrix = {s.index for s, op in zip(ball, compressions) if op.is_zero()}
+    by_formula = {s.index for s in ball} - allowed
     if by_matrix != by_formula:
         raise SemifdError(
             "kernel-set mismatch: matrix %r vs formula %r"

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DegreeOverflowError, KernelSpecError, SemifdError
-from .linrep import Basis, SparseOperator, _canonical, operator_norm
+from .linrep import Basis, SparseOperator, _from_coo, operator_norm
 
 Multidx = tuple[int, ...]
 
@@ -186,8 +185,9 @@ def multiplication(kernel: KernelSpec, phi: Polynomial, dom: Basis, cod: Basis) 
     cols = np.arange(dom.dim).repeat(betas.shape[1])
     c = np.tile(np.array(list(phi.coeffs.values()), dtype=complex), dom.dim)[rows >= 0]
     rows, cols = rows[rows >= 0], cols[rows >= 0]
-    data = c.real * norms[rows] / norms[cols] + 1j * (c.imag * norms[rows] / norms[cols]) + 0.0  # -0.0 -> 0.0
-    return _canonical(dom, cod, scipy.sparse.coo_array((data, (rows, cols)), shape=(cod.dim, dom.dim)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails a check later; -0.0 -> 0.0
+        data = c.real * norms[rows] / norms[cols] + 1j * (c.imag * norms[rows] / norms[cols]) + 0.0
+    return _from_coo(dom, cod, rows, cols, data)
 
 
 def mult_operator(kernel: KernelSpec, phi: Polynomial, D: int) -> SparseOperator:

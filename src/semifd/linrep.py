@@ -101,12 +101,9 @@ class SparseOperator:
         outside = ((rc < 0) | (rc >= (codomain.dim, domain.dim))).any(axis=1)
         if outside.any():
             raise BasisMismatchError("entry (%d, %d) outside basis dimensions" % tuple(rc[outside][0]))
-        keys, where = np.unique(rc[:, 0] * domain.dim + rc[:, 1], return_inverse=True)
-        data = np.zeros(len(keys), dtype=complex)
-        np.add.at(data, where, [v for _, v in items])
-        keys, self.data = keys[data != 0], data[data != 0]
-        self.domain, self.codomain, self.indices = domain, codomain, keys % domain.dim
-        self.indptr = np.searchsorted(keys, np.arange(codomain.dim + 1) * domain.dim)
+        op = _from_coo(domain, codomain, rc[:, 0], rc[:, 1], [v for _, v in items])
+        for name in self.__slots__:
+            setattr(self, name, getattr(op, name))
 
     def csr(self) -> scipy.sparse.csr_array:
         """A scipy.sparse view of the arrays."""
@@ -118,22 +115,31 @@ class SparseOperator:
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if other.codomain != self.domain:
             raise BasisMismatchError("compose: inner bases do not match")
-        return _canonical(other.domain, self.codomain, self.csr() @ other.csr())
+        # entry (i, j, a) meets row j of other: positions start + 0, 1, ... of its counts[e] entries
+        counts = np.diff(other.indptr)[self.indices]
+        pos = np.arange(counts.sum()) + (other.indptr[self.indices] - counts.cumsum() + counts).repeat(counts)
+        a, b = self.data.repeat(counts), other.data[pos]
+        ab = np.empty(len(a), dtype=complex)  # the textbook product, rounded as csr_matmat rounds it
+        ab.real, ab.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+        return _from_coo(other.domain, self.codomain, self._rows().repeat(counts), other.indices[pos], ab)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         if other.domain != self.domain or other.codomain != self.codomain:
             raise BasisMismatchError("add: bases do not match")
-        return _canonical(self.domain, self.codomain, self.csr() + other.csr())
+        parts = zip((self._rows(), self.indices, self.data), (other._rows(), other.indices, other.data))
+        return _from_coo(self.domain, self.codomain, *map(np.concatenate, parts))
 
     def scale(self, c: complex) -> "SparseOperator":
-        return _canonical(self.domain, self.codomain, self.csr() * c)
+        return _from_coo(self.domain, self.codomain, self._rows(), self.indices, self.data * c)
 
     def adjoint(self) -> "SparseOperator":
-        return _canonical(self.codomain, self.domain, self.csr().conj().T)
+        return _from_coo(self.codomain, self.domain, self.indices, self._rows(), self.data.conj())
 
     def tensor(self, other: "SparseOperator") -> "SparseOperator":
         dom, cod = tensor_basis(self.domain, other.domain), tensor_basis(self.codomain, other.codomain)
-        return _canonical(dom, cod, scipy.sparse.kron(self.csr(), other.csr(), format="csr"))
+        rows = (self._rows()[:, None] * other.codomain.dim + other._rows()).ravel()
+        cols = (self.indices[:, None] * other.domain.dim + other.indices).ravel()
+        return _from_coo(dom, cod, rows, cols, np.outer(self.data, other.data).ravel())
 
     def embed_codomain(self, new_codomain: Basis) -> "SparseOperator":
         """Re-express with a larger codomain containing every current label."""
@@ -152,7 +158,8 @@ class SparseOperator:
         )
 
     def _rows(self) -> np.ndarray:
-        return np.arange(self.codomain.dim).repeat(self.indptr[1:] - self.indptr[:-1])
+        """Row of each entry: how many rows after the first start at or before it."""
+        return np.bincount(self.indptr[1:-1], minlength=len(self.data) + 1)[: len(self.data)].cumsum()
 
     @property
     def entries(self) -> dict:
@@ -189,30 +196,39 @@ def _csr(domain: Basis, codomain: Basis, indptr, indices, data) -> SparseOperato
     return op
 
 
-def _canonical(domain: Basis, codomain: Basis, a) -> SparseOperator:
-    """Wrap a scipy.sparse result with sorted indices, duplicates summed and zeros dropped."""
-    a = scipy.sparse.csr_array(a)
-    a.sum_duplicates()
-    a.eliminate_zeros()
-    return _csr(domain, codomain, a.indptr, a.indices, a.data.astype(complex, copy=False))
+def _from_coo(domain: Basis, codomain: Basis, rows, cols, data) -> SparseOperator:
+    """Canonical CSR from coordinate lists: a stable sort by row * dim + col, duplicates
+    summed from 0 one by one in list order (as scipy's csr_matmat does), zeros dropped."""
+    keys, data = np.asarray(rows, dtype=np.int64) * domain.dim + cols, np.asarray(data, dtype=complex)
+    if not (keys[1:] > keys[:-1]).all():  # products of canonical operators mostly arrive sorted
+        order = keys.argsort(kind="stable")
+        keys, data = keys[order], data[order]
+    if not (keys[1:] != keys[:-1]).all():  # np.add.reduceat would sum pairwise
+        keys, where = np.unique(keys, return_inverse=True)
+        data, summands = np.zeros(len(keys), dtype=complex), data
+        np.add.at(data, where, summands)
+    if not (nonzero := data != 0).all():
+        keys, data = keys[nonzero], data[nonzero]
+    rows = keys // domain.dim
+    indptr = np.bincount(rows + 1, minlength=codomain.dim + 1).cumsum()
+    return _csr(domain, codomain, indptr, keys - rows * domain.dim, data)
 
 
 def partial_map(domain: Basis, codomain: Basis, rows) -> SparseOperator:
-    """The 0/1 operator e_c -> e_rows[c], with no image where rows[c] < 0."""
-    if len(rows) != domain.dim:
+    """The 0/1 operator e_c -> e_rows[c], with no image where rows[c] < 0 (an int array or a list)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.shape != (domain.dim,):
         raise BasisMismatchError("one row per domain vector required")
-    cols = sorted([c for c, r in enumerate(rows) if r >= 0], key=rows.__getitem__)
-    if not cols:  # most compressions to Y_F are zero
+    cols = (rows >= 0).nonzero()[0]
+    if not len(cols):  # most compressions to Y_F are zero
         return zero_operator(domain, codomain)
-    # indptr[i] counts the images in rows below i
-    indptr = np.bincount([rows[c] + 1 for c in cols], minlength=codomain.dim + 1).cumsum()
-    if len(indptr) > codomain.dim + 1:
-        raise BasisMismatchError("image %d outside codomain of dimension %d" % (len(indptr) - 2, codomain.dim))
-    return _csr(domain, codomain, indptr, np.array(cols, dtype=np.int64), np.ones(len(cols), dtype=complex))
+    if rows.max() >= codomain.dim:
+        raise BasisMismatchError("image %d outside codomain of dimension %d" % (rows.max(), codomain.dim))
+    return _from_coo(domain, codomain, rows[cols], cols, np.ones(len(cols)))
 
 
 def identity_operator(basis: Basis) -> SparseOperator:
-    return partial_map(basis, basis, range(basis.dim))
+    return partial_map(basis, basis, np.arange(basis.dim))
 
 
 def zero_operator(domain: Basis, codomain: Basis) -> SparseOperator:
@@ -250,9 +266,8 @@ def lambda_adjoint_op(table: EnumerationTable, p: MonoidElement, L: int) -> Spar
     by left cancellation), else 0. Lengths only drop, so domain and codomain are
     the same truncation and the matrix is exact."""
     basis = graded_basis(table, L)
-    rows = [-1] * basis.dim
-    for q, r in enumerate(table.left_products(p, L - p.length)):
-        rows[r] = q
+    rows, prods = np.full(basis.dim, -1), table.left_products(p, L - p.length)
+    rows[prods] = np.arange(len(prods))
     return partial_map(basis, basis, rows)
 
 
@@ -277,7 +292,8 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     n = A.domain.dim
     M = A.to_dense() if n * A.codomain.dim <= 4096 else A.csr()  # sparse overhead would swamp small ones
     M = M if A.data.imag.any() else M.real
-    G, v = scipy.sparse.coo_array(M.conj().T @ M), np.random.default_rng(0).standard_normal(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is refused below
+        G, v = scipy.sparse.coo_array(M.conj().T @ M), np.random.default_rng(0).standard_normal(n)
     kd = int(abs(G.row.astype(np.int64) - G.col).max())
     if max_words is not None and (kd + 1) * n > max_words:
         raise ResourceLimitError("Gram band of %d x %d words exceeds cap %d" % (kd + 1, n, max_words))

@@ -9,9 +9,10 @@ all-pairs, all-triples and per-s cofactor loops over a table's products,
 and its per-letter image of a word under a controlled map: slow, but they
 test the definitions directly rather than their Cayley-graph and
 divisor-closure reductions. ``loop_multiplication`` is the package's
-former entry-by-entry multiplication operator, and ``free_symmetric_compression``
+former entry-by-entry multiplication operator, ``free_symmetric_compression``
 builds the Drury-Arveson shifts from the free monoid's left regular
-representation, sharing no code with the monomial norms.
+representation, sharing no code with the monomial norms, and
+``scipy_algebra`` is the package's former scipy.sparse operator algebra.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+import scipy.sparse
 
 
 def _find(parent, w):
@@ -222,3 +224,23 @@ def free_symmetric_compression(d: int, coeffs: dict, D: int, labels) -> np.ndarr
         w = table.element_from_word(tuple(i for i in range(d) for _ in range(alpha[i])))
         a += c * sf.lambda_op(table, w, D).csr()[:ball].toarray()  # P_D lambda_w on the ball
     return U.T @ a @ U
+
+
+def scipy_canonical(a) -> scipy.sparse.csr_array:
+    """a as a csr array with sorted indices, duplicates summed and zeros dropped."""
+    a = scipy.sparse.csr_array(a)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    return a
+
+
+def scipy_algebra(A, B, C, c) -> dict:
+    """A @ C, A + B, c A, A* and A (x) C by scipy.sparse, each canonical, for
+    csr arrays A and B of one shape, C with A's column count of rows, and a scalar c."""
+    return {
+        "matmul": scipy_canonical(A @ C),
+        "add": scipy_canonical(A + B),
+        "scale": scipy_canonical(A * c),
+        "adjoint": scipy_canonical(A.conj().T),
+        "tensor": scipy_canonical(scipy.sparse.kron(A, C, format="csr")),
+    }

@@ -68,7 +68,7 @@ def test_criterion_04_kernel_formula():
             singles = [(p,) for p in pool]
             pairs = list(itertools.combinations(pool, 2))
             for F in singles + pairs:
-                sf.kernel_set(table, F, 5)  # raises on any nullity/formula mismatch
+                sf.kernel_set(sf.build_Y(table, F), 5)  # raises on any nullity/formula mismatch
 
 
 def test_criterion_05_stabilization():
@@ -289,6 +289,7 @@ CRITERION_CONFIGS = [
         "F": ["s1.s2.s3.s1.s2.s1.s3.s2"],
         "L": 8,
     },
+    {"command": "coaction", "presentation": {"builtin": "braid", "n": 4}, "map": "length", "L_P": 10, "L_Q": 80},
 ]
 
 
@@ -312,7 +313,8 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("num", range(len(CRITERION_CONFIGS)))
 def test_criterion_12_reports_match_goldens(num, tmp_path):
     # reports of CRITERION_CONFIGS saved before the union-find enumeration
-    # (0-10) and before fdapprox tables were cut to max(L, max|F|) (11)
+    # (0-10), before fdapprox tables were cut to max(L, max|F|) (11) and
+    # while operators were composed by scipy.sparse (12)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CRITERION_CONFIGS[num]))
     out = tmp_path / "report.json"
@@ -328,3 +330,17 @@ def test_criterion_17_drury_arveson_norm_at_scale():
         val = sf.multiplier_norm_lower(sf.drury_arveson(2), phi, 200)
     # compressions only grow with D, and ||M_phi|| <= 1 + ||M_z1|| + ||M_z1z2|| = 3
     assert sf.multiplier_norm_lower(sf.drury_arveson(2), phi, 60) <= val <= 3.0
+
+
+def test_criterion_18_coaction_frontier(tmp_path):
+    # braid(4) length map: W has 7,588 x 81 = 614,628 entries, and the
+    # intertwining checks compose operators with up to 1,464,640 rows
+    path, out = tmp_path / "config.json", tmp_path / "report.json"
+    path.write_text(json.dumps(CRITERION_CONFIGS[12]))
+    with criterion(18, "braid(4) coaction at L_P = 10, L_Q = 80", budget=5.0):
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("fell-absorption", "pass"),
+        ("character-reconstruction", "pass"),
+    ]

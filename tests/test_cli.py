@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -324,6 +325,8 @@ def test_covariance_needs_coefficients_up_to_D_only(tmp_path, capsys):
 )
 def test_non_finite_values_fail_their_check(tmp_path, capsys, kernel, phi, D, check, witness):
     terms = [{"exponents": [n], "re": c} for n, c in phi]
-    status, report, err = run(tmp_path, capsys, {"command": "funcalg", "kernel": kernel, "phi": terms, "D": D})
+    with warnings.catch_warnings():  # overflow stays silent: stderr holds no RuntimeWarning lines
+        warnings.simplefilter("error", RuntimeWarning)
+        status, report, err = run(tmp_path, capsys, {"command": "funcalg", "kernel": kernel, "phi": terms, "D": D})
     assert status == 1 and "Traceback" not in err
     assert {"name": check, "status": "fail", "witness": witness} in report["checks"]

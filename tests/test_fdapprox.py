@@ -139,18 +139,18 @@ def test_coinvariance_matches_per_s_oracle(pres, L, F_words):
 
 
 def test_kernel_set_naturals(nat1):
-    ks = sf.kernel_set(nat1, [nat_el(nat1, 2)], 5)
+    ks = sf.kernel_set(sf.build_Y(nat1, [nat_el(nat1, 2)]), 5)
     assert {s.length for s in ks} == {3, 4, 5}
 
 
 def test_kernel_set_free2(free2):
-    ks = sf.kernel_set(free2, [el(free2, "a.b")], 2)
+    ks = sf.kernel_set(sf.build_Y(free2, [el(free2, "a.b")]), 2)
     assert {free2.str_of(s) for s in ks} == {"a.a", "b.a", "b.b"}
 
 
 def test_kernel_set_full_F_is_empty(free2):
     F = free2.elements_up_to(2)
-    assert sf.kernel_set(free2, F, 2) == frozenset()
+    assert sf.kernel_set(sf.build_Y(free2, F), 2) == frozenset()
 
 
 # -- stabilization -----------------------------------------------------------------------

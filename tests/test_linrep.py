@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ import semifd as sf
 from semifd import linrep
 from semifd.linrep import partial_map
 
-from oracles import gram_operator_norm
+from oracles import gram_operator_norm, scipy_algebra, scipy_canonical
 
 
 def test_shift_on_naturals(nat1):
@@ -65,6 +66,18 @@ def test_adjoint_free2_prefix_stripping(free2):
     ba = free2.element_from_str("b.a")
     assert adj.entries[(basis.index_of(b.index), basis.index_of(ab.index))] == 1.0
     assert all(c != basis.index_of(ba.index) for (_, c) in adj.entries)
+
+
+def test_negative_levels_raise():
+    # level -1 must not wrap around to the top level of the table
+    table = sf.enumerate_monoid(sf.free(2), 3)
+    a = table.element_from_str("a")
+    calls = (table.elements_up_to, lambda L: sf.graded_basis(table, L), lambda L: sf.lambda_adjoint_op(table, a, L))
+    for call in calls:
+        with pytest.raises(sf.LengthBoundError):
+            call(-1)
+    adj = sf.lambda_adjoint_op(table, a, 0)
+    assert adj.domain.dim == 1 and adj.is_zero()
 
 
 def test_adjoint_braid_class_membership(braid3):
@@ -356,6 +369,48 @@ def test_csr_operator_matches_dense_oracle(case, c, vec):
             sf.SparseOperator(bn, bm, items_a + [(bad, 1.0)])
     with pytest.raises(sf.BasisMismatchError):
         partial_map(bn, bm, [m] + [-1] * (n - 1))
+
+
+def _random_coo(rng, m, n, kind):
+    """Entries of an m x n operator. "exact" ones are quarter-integers that repeat keys and
+    cancel, and every sum of them is exact in any order; "float" ones never repeat a key."""
+    if kind == "exact":
+        keys = rng.integers(0, m * n, rng.integers(0, 3 * m * n + 1))
+        data = (rng.integers(-2, 3, len(keys)) + 1j * rng.integers(-2, 3, len(keys))) / 4
+    else:
+        keys = rng.permutation(m * n)[: 0 if kind == "empty" else rng.integers(1, m * n + 1)]
+        data = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    return keys // n, keys % n, data
+
+
+def _assert_same_arrays(op, ref):
+    assert np.array_equal(op.indptr, ref.indptr) and np.array_equal(op.indices, ref.indices)
+    assert op.data.dtype == complex and np.array_equal(op.data, ref.data)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float", "empty"])
+@pytest.mark.parametrize("seed", range(15))
+def test_csr_algebra_matches_scipy_oracle(kind, seed):
+    # same arrays as scipy.sparse: float sums of the product follow csr_matmat's order
+    rng = np.random.default_rng(seed)
+    m, n, k = (int(d) for d in rng.integers(1, 7, 3))
+    bm, bn, bk = (sf.Basis(("o", d), tuple(range(d))) for d in (m, n, k))
+    ops, refs = {}, {}
+    for name, (cod, dom) in {"A": (bm, bn), "B": (bm, bn), "C": (bn, bk)}.items():
+        rows, cols, data = _random_coo(rng, cod.dim, dom.dim, kind)
+        ops[name] = sf.SparseOperator(dom, cod, zip(zip(rows.tolist(), cols.tolist()), data.tolist()))
+        refs[name] = scipy_canonical(scipy.sparse.coo_array((data, (rows, cols)), shape=(cod.dim, dom.dim)))
+        _assert_same_arrays(ops[name], refs[name])
+    c = complex(*rng.standard_normal(2)) if seed % 5 else 0j
+    A, B, C = ops["A"], ops["B"], ops["C"]
+    got = {"matmul": A @ C, "add": A + B, "scale": A.scale(c), "adjoint": A.adjoint(), "tensor": A.tensor(C)}
+    for name, ref in scipy_algebra(refs["A"], refs["B"], refs["C"], c).items():
+        _assert_same_arrays(got[name], ref)
+    images = np.full(n, -1) if kind == "empty" else rng.integers(-1, m, n)  # -1: no image
+    P, keep = partial_map(bn, bm, images), np.flatnonzero(images >= 0)
+    ones = scipy.sparse.coo_array((np.ones(len(keep)), (images[keep], keep)), shape=(m, n))
+    _assert_same_arrays(P, scipy_canonical(ones))
+    assert P == partial_map(bn, bm, images.tolist())
 
 
 def test_partial_map_is_canonical():
