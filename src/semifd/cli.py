@@ -8,6 +8,7 @@ Exit status: 0 all checks pass, 1 an invariant check failed, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -141,8 +142,9 @@ def _cmd_divisors(cfg, max_words):
     L = _count(cfg, "L", 4)
     table = enumerate_monoid(pres, L, max_words=max_words)
     runner = CheckRunner()
-    sizes = [[table.str_of(p), len(table.right_divisors(p)), len(table.left_divisors(p))]
-             for p in table.elements_up_to(L)]
+    R, Ls = table.divisor_sets(L), table.divisor_sets(L, left=True)  # index sets, read once
+    ball = table.elements_up_to(L)
+    sizes = [[table.str_of(p), len(R[p.index]), len(Ls[p.index])] for p in ball]
 
     def bijection():
         for word, r, l in sizes:
@@ -151,13 +153,12 @@ def _cmd_divisors(cfg, max_words):
         return "all equal"
 
     def nesting():
-        for p in table.elements_up_to(L):
-            Rp = table.right_divisors(p)
-            for r in Rp:
-                if not table.right_divisors(r) <= Rp:
-                    raise SemifdError(
-                        "R_r not inside R_p for r=%s, p=%s" % (table.str_of(r), table.str_of(p))
-                    )
+        for p in ball:
+            Rp = R[p.index]
+            bad = [r for r in Rp if not R[r] <= Rp]
+            if bad:
+                r = table.element(min(bad))
+                raise SemifdError("R_r not inside R_p for r=%s, p=%s" % (table.str_of(r), table.str_of(p)))
         return "nested"
 
     runner.run("divisor-bijection", bijection)
@@ -334,7 +335,10 @@ def execute(config: dict, args) -> tuple[dict, int]:
     return _round_floats(report), (1 if runner.failed else 0)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built on the first main call and reused: parse_args returns a fresh
+    namespace each time, so no option carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="semifd",
         description="finite-dimensional matrix models of semigroup operator algebras",
@@ -351,7 +355,11 @@ def main(argv=None) -> int:
         action="store_true",
         help="include wall-clock ms in the report (breaks byte-reproducibility)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.config == "-":
             config = json.load(sys.stdin)

@@ -200,11 +200,9 @@ def qf_spanning_set(spec: CoactionSpec, F) -> tuple[frozenset, int]:
     """Spanning set of the quotient indexed by a finite F inside Q: all p in P
     whose image lies in some left-divisor set of a right divisor of F. Its
     (finite) cardinality is the finite-dimensionality witness."""
-    targets = set()
-    for q in F:
-        for r in spec.target.right_divisors(q):
-            targets.update(spec.target.left_divisors(r))
+    table = spec.target
+    targets = table.divisor_union(table.divisor_union(q.index for q in F), left=True)
     span = set()
-    for t in sorted(targets, key=lambda t: t.index):
-        span.update(spec.phi.fiber(t))
+    for t in sorted(targets):
+        span.update(spec.phi.fiber(table.element(t)))
     return frozenset(span), len(span)

@@ -15,7 +15,6 @@ canonical word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     CancellativityError,
@@ -54,7 +53,8 @@ class EnumerationTable:
     and x -> g.x (for |x| < L) are stored, with the spanning tree of the
     first: _parent[x] = (p, g) where canon(x) = canon(p).g. Products walk the
     right graph, products over a ball follow the tree, and divisor sets and
-    witnesses are read off both graphs.
+    witnesses are read off both graphs. Divisor sets are sets of indices,
+    filled on demand level by level.
     """
 
     def __init__(self, presentation: MonoidPresentation, L: int, max_words: int = 10**6):
@@ -68,7 +68,7 @@ class EnumerationTable:
         self._right: list[tuple[int, ...]] = []  # _right[x][g] = x.g
         self._left: list[tuple[int, ...]] = []  # _left[x][g] = g.x
         self._parent: list[tuple[int, int]] = [(0, 0)]  # (p, g) with canon(x) = canon(p).g
-        self._divisor_cache: tuple[dict, dict] = ({}, {})
+        self._divisor_sets: tuple[list, list] = ([frozenset((0,))], [frozenset((0,))])  # R_p, L_p
         self._enumerate()
 
     # -- construction ------------------------------------------------------
@@ -169,43 +169,39 @@ class EnumerationTable:
 
     # -- divisor sets --------------------------------------------------------
 
-    @cached_property
-    def _predecessors(self) -> tuple[list[list[int]], list[list[int]]]:
-        """For each p: the x with g.x = p, and the x with x.g = p."""
-        left = [[] for _ in self.elements]
-        right = [[] for _ in self.elements]
-        for preds, graph in ((left, self._left), (right, self._right)):
-            for x, row in enumerate(graph):
-                for q in row:
-                    preds[q].append(x)
-        return left, right
+    def divisor_sets(self, n: int, left: bool = False) -> list[frozenset[int]]:
+        """R_p (or L_p if left) as index sets, listed by index p and filled to
+        at least length n. Level by level, each set is {p} joined with the
+        sets of p's predecessors one level down: the x with g.x = p for R_p,
+        x.g = p for L_p. The list is the table's cache: read, never mutate."""
+        sets, graph = self._divisor_sets[left], self._right if left else self._left
+        while len(sets) < self.by_length[n].stop:
+            m = self.elements[len(sets)].length
+            level = self.by_length[m]
+            preds = [[] for _ in level]
+            for x in self.by_length[m - 1]:
+                for q in graph[x]:
+                    preds[q - level.start].append(sets[x])
+            sets.extend(ps[0].union((q,), *ps[1:]) for q, ps in zip(level, preds))
+        return sets
 
-    def _divisors(self, p: MonoidElement, side: int) -> frozenset:
-        """p plus the divisor sets of its predecessors on one side, memoised
-        (predecessors are shorter, so they are finished first)."""
-        cache, preds = self._divisor_cache[side], self._predecessors[side]
-        stack = [p.index]
-        while stack:
-            x = stack[-1]
-            todo = [y for y in preds[x] if y not in cache]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            if x not in cache:
-                cache[x] = frozenset((self.elements[x],)).union(*(cache[y] for y in preds[x]))
-        return cache[p.index]
+    def divisor_union(self, indices, left: bool = False) -> frozenset[int]:
+        """Union of R_p (or L_p if left) over element indices p; the largest
+        index is among the longest elements, so it sets the fill."""
+        indices = tuple(indices)
+        sets = self.divisor_sets(self.elements[max(indices, default=0)].length, left)
+        return frozenset().union(*(sets[p] for p in indices))
 
     def right_divisors(self, p: MonoidElement) -> frozenset:
         """R_p = {r : p = q*r for some q}. Always contains the identity and p.
 
         p = (g q')r makes r a right divisor of q'r, a left-Cayley predecessor of p.
         """
-        return self._divisors(p, 0)
+        return frozenset(self.elements[i] for i in self.divisor_sets(p.length)[p.index])
 
     def left_divisors(self, p: MonoidElement) -> frozenset:
         """L_p = {q : p = q*r for some r}; in bijection with R_p."""
-        return self._divisors(p, 1)
+        return frozenset(self.elements[i] for i in self.divisor_sets(p.length, left=True)[p.index])
 
     # -- desk-scale witnesses -------------------------------------------------
 

@@ -47,13 +47,15 @@ class DivisorSubspace:
         """lambda_s* maps Y_F into Y_F (plus 0) for every s: the cofactor t of
         r = s*t is a right divisor of r, so it suffices that R_r lies in Y_F
         for every r in Y_F. One pass over Y_F covers all s."""
-        for r in map(self.table.element, self.basis.labels):
-            for t in self.table.right_divisors(r):
-                if self.basis.find(t.index) < 0:
-                    raise SemifdError(
-                        "coinvariance broken: right divisor %s of %s is not in Y_F"
-                        % (self.table.str_of(t), self.table.str_of(r))
-                    )
+        table, labels = self.table, self.basis.labels
+        R, Y = table.divisor_sets(table.element(max(labels, default=0)).length), frozenset(labels)
+        for r in labels:
+            if not R[r] <= Y:
+                t = table.element(min(R[r] - Y))
+                raise SemifdError(
+                    "coinvariance broken: right divisor %s of %s is not in Y_F"
+                    % (table.str_of(t), table.str_of(table.element(r)))
+                )
 
 
 def build_Y(table: EnumerationTable, F) -> DivisorSubspace:
@@ -61,12 +63,10 @@ def build_Y(table: EnumerationTable, F) -> DivisorSubspace:
     F = tuple(F)
     if not F:
         raise SemifdError("F must be nonempty")
-    labels = set()
     for p in F:
         if table.element(p.index) != p:
             raise SemifdError("element %s is not in the table" % table.str_of(p))
-        labels.update(r.index for r in table.right_divisors(p))
-    basis = Basis(("l2", table.fingerprint), tuple(sorted(labels)))
+    basis = Basis(("l2", table.fingerprint), tuple(sorted(table.divisor_union(p.index for p in F))))
     return DivisorSubspace(table, F, basis)
 
 
@@ -78,10 +78,7 @@ def kernel_set(sub: DivisorSubspace, L: int, compressions=None) -> frozenset:
     bug and raises. compressions, if given, are sub.compress(s) over the L-ball.
     """
     table, ball = sub.table, sub.table.elements_up_to(L)
-    allowed = set()
-    for p in sub.F:
-        for r in table.right_divisors(p):
-            allowed.update(q.index for q in table.left_divisors(r))
+    allowed = table.divisor_union(table.divisor_union(p.index for p in sub.F), left=True)
     compressions = [sub.compress(s) for s in ball] if compressions is None else compressions
     by_matrix = {s.index for s, op in zip(ball, compressions) if op.is_zero()}
     by_formula = {s.index for s in ball} - allowed

@@ -1,6 +1,20 @@
-import pytest
+import os
 
-import semifd as sf
+# Pin BLAS and OpenMP pools to one thread before numpy loads, as the benchmark
+# does: on a busy 2-vCPU host a second BLAS thread slows the timed criteria.
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
+
+import semifd as sf  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -290,6 +290,7 @@ CRITERION_CONFIGS = [
         "L": 8,
     },
     {"command": "coaction", "presentation": {"builtin": "braid", "n": 4}, "map": "length", "L_P": 10, "L_Q": 80},
+    {"command": "divisors", "presentation": {"builtin": "braid", "n": 4}, "L": 6},
 ]
 
 
@@ -313,8 +314,9 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("num", range(len(CRITERION_CONFIGS)))
 def test_criterion_12_reports_match_goldens(num, tmp_path):
     # reports of CRITERION_CONFIGS saved before the union-find enumeration
-    # (0-10), before fdapprox tables were cut to max(L, max|F|) (11) and
-    # while operators were composed by scipy.sparse (12)
+    # (0-10), before fdapprox tables were cut to max(L, max|F|) (11), while
+    # operators were composed by scipy.sparse (12) and while divisor sets
+    # were element frozensets (13)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CRITERION_CONFIGS[num]))
     out = tmp_path / "report.json"

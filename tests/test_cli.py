@@ -5,6 +5,7 @@ import pytest
 
 from semifd import cli, funcalg, linrep
 from semifd.cli import main
+from semifd.enumeration import EnumerationTable
 
 
 def write_config(tmp_path, config):
@@ -165,6 +166,45 @@ def test_timing_flag_populates_ms(tmp_path, capsys):
     assert quiet["ms"] == 0.0
     _, timed, _ = run(tmp_path, capsys, config, extra=("--timing",))
     assert timed["ms"] >= 0.0
+
+
+def test_successive_calls_do_not_leak_options(tmp_path, capsys):
+    # the parser is built once per process; each call parses its own options
+    assert cli._parser() is cli._parser()
+    config = {"command": "enumerate", "presentation": {"builtin": "free", "n": 2}, "L": 10}
+    _, timed, _ = run(tmp_path, capsys, config, extra=("--timing",))
+    _, quiet, _ = run(tmp_path, capsys, config)
+    assert timed["ms"] > 0.0 and quiet["ms"] == 0.0
+    # free(2) to length 10 stores 1,023 x 2 entries before its last level
+    assert run(tmp_path, capsys, config, extra=("--max-words", "1000"))[0] == 3
+    status, report, _ = run(tmp_path, capsys, config)
+    assert status == 0 and report["tables"]["counts"][-1] == 1024
+
+
+@pytest.mark.parametrize(
+    "broken_side, witnesses",
+    [
+        ("right", {"divisor-bijection": "|R_p| != |L_p| at p=a.b.b", "divisor-nesting": "R_r not inside R_p for r=b, p=a.b.b"}),
+        ("left", {"divisor-bijection": "|R_p| != |L_p| at p=a.b.b"}),
+    ],
+)
+def test_broken_divisor_set_fails_with_one_line_witness(tmp_path, capsys, monkeypatch, broken_side, witnesses):
+    # drop the identity from R_p (or L_p) of p = a.b.b: the checks name p, and
+    # the nesting witness is the first r of R_p whose R_r is not inside
+    real = EnumerationTable.divisor_sets
+
+    def dropped(self, n, left=False):
+        sets = list(real(self, n, left))
+        if left == (broken_side == "left"):
+            p = self.element_from_str("a.b.b").index
+            sets[p] = sets[p] - {0}
+        return sets
+
+    monkeypatch.setattr(EnumerationTable, "divisor_sets", dropped)
+    config = {"command": "divisors", "presentation": {"builtin": "free", "n": 2}, "L": 3}
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 1 and err == ""
+    assert {c["name"]: c["witness"] for c in report["checks"] if c["status"] == "fail"} == witnesses
 
 
 def test_stdin_config(tmp_path, capsys, monkeypatch):

@@ -239,6 +239,15 @@ def test_qf_spanning_free_abelianization(free_abel_spec):
     assert {spec.source.str_of(p) for p in span} == {"e", "a", "b", "a.b", "b.a"}
 
 
+def test_qf_spanning_noncommutative_target():
+    # over a free target, left and right divisors differ: F = {a.b} has right
+    # divisors e, b, a.b, whose left divisors are e, b, a, a.b
+    table = sf.enumerate_monoid(sf.free(2), 3)
+    spec = sf.CoactionSpec(sf.ControlledMap(table, table, [table.element_from_str(g) for g in "ab"]))
+    span, count = sf.qf_spanning_set(spec, [table.element_from_str("a.b")])
+    assert {table.str_of(p) for p in span} == {"e", "a", "b", "a.b"} and count == 4
+
+
 def test_qf_spanning_monotone(braid_length_spec):
     spec = braid_length_spec
     small, _ = sf.qf_spanning_set(spec, [spec.target.element_from_word((0,))])

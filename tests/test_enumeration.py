@@ -98,6 +98,20 @@ def test_union_find_levels_match_brute_classes(case):
     assert cancellative == table_cancellative(table)
 
 
+@given(small_presentations())
+@settings(max_examples=40, deadline=None)
+def test_divisor_fill_matches_table_oracle(case):
+    # divisor sets are filled lazily up to the longest element asked for, so
+    # asking in index order and asking for the longest element first must agree
+    pres, L = case
+    in_order, longest_first = sf.enumerate_monoid(pres, L), sf.enumerate_monoid(pres, L)
+    expected = [table_divisors(in_order, p) for p in in_order.elements]
+    last = longest_first.elements[-1]
+    assert (longest_first.right_divisors(last), longest_first.left_divisors(last)) == expected[-1]
+    for table in (in_order, longest_first):
+        assert [(table.right_divisors(p), table.left_divisors(p)) for p in table.elements] == expected
+
+
 # -- multiplication ------------------------------------------------------------
 
 
