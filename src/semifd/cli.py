@@ -133,8 +133,7 @@ def _cmd_enumerate(cfg, max_words):
     runner = CheckRunner()
     runner.run("cancellation", lambda: table.check_cancellation() or "exact")
     runner.run("associativity", lambda: table.check_associativity() or "exact")
-    tables = {"counts": table.counts()}
-    return runner, tables
+    return runner, {"counts": table.counts()}
 
 
 def _cmd_divisors(cfg, max_words):
@@ -195,8 +194,7 @@ def _cmd_fdapprox(cfg, max_words, norm_tol):
     runner.run("kernel-formula", kernel)
     runner.run("contractivity", contractivity)
     runner.run("coinvariance", lambda: sub.check_coinvariance() or "exact")
-    tables = {"dim_Y_F": sub.dim, "kernel_set": state.get("kernel", [])}
-    return runner, tables
+    return runner, {"dim_Y_F": sub.dim, "kernel_set": state.get("kernel", [])}
 
 
 def _cmd_coaction(cfg, max_words):
@@ -361,6 +359,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if not args.norm_tol > 0:  # NaN fails; inf asks nothing of the bracket
+            raise ConfigError("--norm-tol must be a positive number, got %r" % args.norm_tol)
         if args.config == "-":
             config = json.load(sys.stdin)
         else:

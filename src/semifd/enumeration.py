@@ -174,6 +174,8 @@ class EnumerationTable:
         at least length n. Level by level, each set is {p} joined with the
         sets of p's predecessors one level down: the x with g.x = p for R_p,
         x.g = p for L_p. The list is the table's cache: read, never mutate."""
+        if not 0 <= n <= self.L:
+            raise LengthBoundError("requested level %d outside 0..%d" % (n, self.L))
         sets, graph = self._divisor_sets[left], self._right if left else self._left
         while len(sets) < self.by_length[n].stop:
             m = self.elements[len(sets)].length

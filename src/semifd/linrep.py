@@ -11,8 +11,6 @@ appear only through linear combinations.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
 from .enumeration import EnumerationTable, MonoidElement
 from .errors import BasisMismatchError, LengthBoundError, ResourceLimitError, SemifdError
@@ -105,11 +103,6 @@ class SparseOperator:
         for name in self.__slots__:
             setattr(self, name, getattr(op, name))
 
-    def csr(self) -> scipy.sparse.csr_array:
-        """A scipy.sparse view of the arrays."""
-        shape = (self.codomain.dim, self.domain.dim)
-        return scipy.sparse.csr_array((self.data, self.indices, self.indptr), shape=shape)
-
     # -- algebra -------------------------------------------------------------
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
@@ -179,7 +172,7 @@ class SparseOperator:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if vec.shape != (self.domain.dim,):
             raise BasisMismatchError("vector length does not match domain")
-        return self.csr() @ vec
+        return _row_sums(self._rows(), self.data * vec[self.indices], self.codomain.dim)
 
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.codomain.dim, self.domain.dim), dtype=complex)
@@ -196,6 +189,12 @@ def _csr(domain: Basis, codomain: Basis, indptr, indices, data) -> SparseOperato
     return op
 
 
+def _row_sums(rows, terms, m: int) -> np.ndarray:
+    """Each row's terms summed from 0 one by one in list order, as csr_matvec and csr_matmat sum."""
+    np.add.at(out := np.zeros(m, dtype=terms.dtype), rows, terms)  # unbuffered; np.add.reduceat is pairwise
+    return out
+
+
 def _from_coo(domain: Basis, codomain: Basis, rows, cols, data) -> SparseOperator:
     """Canonical CSR from coordinate lists: a stable sort by row * dim + col, duplicates
     summed from 0 one by one in list order (as scipy's csr_matmat does), zeros dropped."""
@@ -203,10 +202,8 @@ def _from_coo(domain: Basis, codomain: Basis, rows, cols, data) -> SparseOperato
     if not (keys[1:] > keys[:-1]).all():  # products of canonical operators mostly arrive sorted
         order = keys.argsort(kind="stable")
         keys, data = keys[order], data[order]
-    if not (keys[1:] != keys[:-1]).all():  # np.add.reduceat would sum pairwise
-        keys, where = np.unique(keys, return_inverse=True)
-        data, summands = np.zeros(len(keys), dtype=complex), data
-        np.add.at(data, where, summands)
+    if not (new := keys[1:] != keys[:-1]).all():  # sum each run of equal keys
+        keys, data = keys[np.append(True, new)], _row_sums(np.append(0, new.cumsum()), data, new.sum() + 1)
     if not (nonzero := data != 0).all():
         keys, data = keys[nonzero], data[nonzero]
     rows = keys // domain.dim
@@ -279,7 +276,7 @@ def _band(kd: int, n: int, dtype) -> np.ndarray:
 def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = None) -> float:
     """Largest singular value of A as sqrt(theta), rounded, with theta <= lambda_max(A*A) <= mu certified.
 
-    theta0 ~ lambda_max(G), G = A*A (float64 for real A), is estimated by dense eigvalsh (n <= 64),
+    theta0 ~ lambda_max(G), G = A.adjoint() @ A (real for real A), is estimated by dense eigvalsh (n <= 64),
     eig_banded (half-bandwidth kd <= 8) or ARPACK eigsh. A Cholesky of mu0 I - G, mu0 = theta0 (1 + 1e-12),
     that runs to completion in band storage gives mu: mu0, Rump's pad (BIT 46, 2006, kd + 2 for n + 1; the
     lesser of tr and (2kd + 1) max diag; normal range) and G's rounding. Inverse iteration with that factor
@@ -289,34 +286,35 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     """
     if A.is_zero():
         return 0.0
-    n = A.domain.dim
-    M = A.to_dense() if n * A.codomain.dim <= 4096 else A.csr()  # sparse overhead would swamp small ones
-    M = M if A.data.imag.any() else M.real
+    from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded  # scipy loads with the first norm
+    n, m, rows, cols, real = A.domain.dim, A.codomain.dim, A._rows(), A.indices, not A.data.imag.any()
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is refused below
-        G, v = scipy.sparse.coo_array(M.conj().T @ M), np.random.default_rng(0).standard_normal(n)
-    kd = int(abs(G.row.astype(np.int64) - G.col).max())
+        G, v = A.adjoint() @ A, np.random.default_rng(0).standard_normal(n)
+    g_rows, g_cols, gram = G._rows(), G.indices, G.data.real if real else G.data
+    kd = int(abs(g_rows - g_cols).max())
     if max_words is not None and (kd + 1) * n > max_words:
         raise ResourceLimitError("Gram band of %d x %d words exceeds cap %d" % (kd + 1, n, max_words))
-    band, low = _band(kd, n, G.dtype), G.row >= G.col
-    band[G.row[low] - G.col[low], G.col[low]] = G.data[low]
+    band, low = _band(kd, n, gram.dtype), g_rows >= g_cols
+    band[g_rows[low] - g_cols[low], g_cols[low]] = gram[low]
     if not np.isfinite(band).all():
         raise SemifdError("norm not certified: A*A has a non-finite entry")
     if n <= 64:
-        theta0 = np.linalg.eigvalsh(G.toarray())[-1]
+        theta0 = np.linalg.eigvalsh(G.to_dense().real if real else G.to_dense())[-1]
     elif kd <= 8:
         theta0 = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(n - 1, n - 1))[0]
     else:
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # a 16-ms import, for d >= 2 only
-
+        from scipy.sparse import csr_array, linalg  # with ARPACK a 0.2-s import, for d >= 2 only
+        G = csr_array((gram, g_cols, G.indptr), shape=(n, n))
         try:
-            theta0 = eigsh(G.tocsr(), k=1, which="LA", return_eigenvectors=False, v0=v)[0]
-        except ArpackNoConvergence:
+            theta0 = linalg.eigsh(G, k=1, which="LA", return_eigenvectors=False, v0=v)[0]
+        except linalg.ArpackNoConvergence:
             raise SemifdError("norm not certified: Lanczos did not converge")
     band *= -1
     band[0] += (mu0 := theta0 * (1 + 1e-12))
-    c, k2 = (2.0, 2) if M.dtype.kind == "c" else (1.0, 0)  # complex arithmetic: 2 gamma_(k+2)
+    c, k2, ext = (1.0, 0, np.longdouble) if real else (2.0, 2, np.clongdouble)  # complex: 2 gamma_(k+2)
     gam = lambda k, u=2.0**-53: c * (k + k2) * u / (1 - c * (k + k2) * u)  # noqa: E731
-    diag, gram_err = band[0].real, gam(np.bincount(A.indices).max()) * (abs(M).T @ (abs(M) @ np.ones(n))).max()
+    diag, w = band[0].real, abs(A.data)  # |A|^T (|A| 1), each row summed as csr_matvec sums it
+    gram_err = gam(np.bincount(cols).max()) * _row_sums(cols, w * _row_sums(rows, w, m)[rows], n).max()
     mu = mu0 * (1 + 2.0**-53) + gam(kd + 2) / (1 - gam(kd + 2)) * min(diag.sum(), (2 * kd + 1) * diag.max())
     mu = (mu + gram_err) * (1 + gam(n + 3))  # the last factor covers rounding in mu's own sums
     try:
@@ -326,10 +324,10 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     for _ in range(3):
         v = cho_solve_banded((chol, True), v)
         v /= np.linalg.norm(v)
-    ext, uL = (np.clongdouble if c > 1 else np.longdouble), np.finfo(np.longdouble).epsneg
-    Mx, vx, sq = M.astype(ext), v.astype(ext), lambda x: (x.real**2 + x.imag**2).sum()
-    y = Mx @ vx
-    r = gam(np.diff(A.indptr).max(), uL) * np.sqrt(sq(abs(Mx) @ abs(vx)) / sq(y))  # bounds |Av - y| / |y|
+    ax, vx, uL = (A.data.real if real else A.data).astype(ext), v.astype(ext), np.finfo(np.longdouble).epsneg
+    sq = lambda x: (x.real**2 + x.imag**2).sum()  # noqa: E731
+    y = _row_sums(rows, ax * vx[cols], m)  # A v, and below the bound on |Av - y| / |y|
+    r = gam(np.diff(A.indptr).max(), uL) * np.sqrt(sq(_row_sums(rows, abs(ax) * abs(vx[cols]), m)) / sq(y))
     theta = sq(y) / sq(vx) * (1 - r) ** 2 * (1 - gam(4 * n + 16, uL))
     if not (width := float(np.sqrt(mu / theta)) - 1) <= tol:
         raise SemifdError("norm not certified: bracket width %.3e > tol %.3e" % (width, tol))

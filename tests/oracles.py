@@ -12,7 +12,9 @@ divisor-closure reductions. ``loop_multiplication`` is the package's
 former entry-by-entry multiplication operator, ``free_symmetric_compression``
 builds the Drury-Arveson shifts from the free monoid's left regular
 representation, sharing no code with the monomial norms, and
-``scipy_algebra`` is the package's former scipy.sparse operator algebra.
+``scipy_algebra`` is the package's former scipy.sparse operator algebra and
+``scipy_operator_norm`` its former norm routine, which formed the Gram matrix
+through a dense array or a scipy.sparse view of the operator.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def free_symmetric_compression(d: int, coeffs: dict, D: int, labels) -> np.ndarr
     a = np.zeros((ball, ball), dtype=complex)
     for alpha, c in coeffs.items():
         w = table.element_from_word(tuple(i for i in range(d) for _ in range(alpha[i])))
-        a += c * sf.lambda_op(table, w, D).csr()[:ball].toarray()  # P_D lambda_w on the ball
+        a += c * sf.lambda_op(table, w, D).to_dense()[:ball]  # P_D lambda_w on the ball
     return U.T @ a @ U
 
 
@@ -244,3 +246,63 @@ def scipy_algebra(A, B, C, c) -> dict:
         "adjoint": scipy_canonical(A.conj().T),
         "tensor": scipy_canonical(scipy.sparse.kron(A, C, format="csr")),
     }
+
+
+def scipy_operator_norm(A, tol: float = 1e-9, max_words: int | None = None) -> float:
+    """The package's former ``operator_norm``, verbatim: the same certified
+    bracket, with A*A formed by dense numpy (m n <= 4096) or scipy.sparse."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
+
+    from semifd.errors import ResourceLimitError, SemifdError
+
+    def _band(kd, n, dtype):
+        return np.zeros((kd + 1, n), dtype=dtype, order="F")
+
+    if A.is_zero():
+        return 0.0
+    n = A.domain.dim
+    csr = scipy.sparse.csr_array((A.data, A.indices, A.indptr), shape=(A.codomain.dim, n))  # the former A.csr()
+    M = A.to_dense() if n * A.codomain.dim <= 4096 else csr  # sparse overhead would swamp small ones
+    M = M if A.data.imag.any() else M.real
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is refused below
+        G, v = scipy.sparse.coo_array(M.conj().T @ M), np.random.default_rng(0).standard_normal(n)
+    kd = int(abs(G.row.astype(np.int64) - G.col).max())
+    if max_words is not None and (kd + 1) * n > max_words:
+        raise ResourceLimitError("Gram band of %d x %d words exceeds cap %d" % (kd + 1, n, max_words))
+    band, low = _band(kd, n, G.dtype), G.row >= G.col
+    band[G.row[low] - G.col[low], G.col[low]] = G.data[low]
+    if not np.isfinite(band).all():
+        raise SemifdError("norm not certified: A*A has a non-finite entry")
+    if n <= 64:
+        theta0 = np.linalg.eigvalsh(G.toarray())[-1]
+    elif kd <= 8:
+        theta0 = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(n - 1, n - 1))[0]
+    else:
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # a 16-ms import, for d >= 2 only
+
+        try:
+            theta0 = eigsh(G.tocsr(), k=1, which="LA", return_eigenvectors=False, v0=v)[0]
+        except ArpackNoConvergence:
+            raise SemifdError("norm not certified: Lanczos did not converge")
+    band *= -1
+    band[0] += (mu0 := theta0 * (1 + 1e-12))
+    c, k2 = (2.0, 2) if M.dtype.kind == "c" else (1.0, 0)  # complex arithmetic: 2 gamma_(k+2)
+    gam = lambda k, u=2.0**-53: c * (k + k2) * u / (1 - c * (k + k2) * u)  # noqa: E731
+    diag, gram_err = band[0].real, gam(np.bincount(A.indices).max()) * (abs(M).T @ (abs(M) @ np.ones(n))).max()
+    mu = mu0 * (1 + 2.0**-53) + gam(kd + 2) / (1 - gam(kd + 2)) * min(diag.sum(), (2 * kd + 1) * diag.max())
+    mu = (mu + gram_err) * (1 + gam(n + 3))  # the last factor covers rounding in mu's own sums
+    try:
+        chol = cholesky_banded(band, lower=True, overwrite_ab=True)
+    except np.linalg.LinAlgError:
+        raise SemifdError("norm not certified: mu I - A*A is not definite at mu = %r" % mu0)
+    for _ in range(3):
+        v = cho_solve_banded((chol, True), v)
+        v /= np.linalg.norm(v)
+    ext, uL = (np.clongdouble if c > 1 else np.longdouble), np.finfo(np.longdouble).epsneg
+    Mx, vx, sq = M.astype(ext), v.astype(ext), lambda x: (x.real**2 + x.imag**2).sum()
+    y = Mx @ vx
+    r = gam(np.diff(A.indptr).max(), uL) * np.sqrt(sq(abs(Mx) @ abs(vx)) / sq(y))  # bounds |Av - y| / |y|
+    theta = sq(y) / sq(vx) * (1 - r) ** 2 * (1 - gam(4 * n + 16, uL))
+    if not (width := float(np.sqrt(mu / theta)) - 1) <= tol:
+        raise SemifdError("norm not certified: bracket width %.3e > tol %.3e" % (width, tol))
+    return float(np.sqrt(theta))

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +301,54 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, config):
     assert status == 2
     assert report is None
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_norm_tol_must_be_positive(tmp_path, capsys, tol):
+    # refused as input before the config is read; it never reaches the bracket
+    phi = [{"exponents": [0], "re": 1.0}, {"exponents": [1], "re": 1.0}]
+    config = {"command": "funcalg", "kernel": "hardy", "phi": phi, "D": 8}
+    out = tmp_path / "report.json"
+    status = main(["--config", write_config(tmp_path, config), "--out", str(out), "--norm-tol", tol])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("config error: --norm-tol must be a positive number")
+    assert captured.err.count("\n") == 1
+    assert main(["--config", write_config(tmp_path, config), "--norm-tol", "inf"]) == 0  # asks nothing, holds
+
+
+def test_scipy_loads_only_for_norms(tmp_path):
+    # in a fresh interpreter, since this test process has loaded scipy already:
+    # the monoid commands compute no norm, and Hardy's (d = 1) need no ARPACK
+    phi = [{"exponents": [0], "re": 1.0}, {"exponents": [1], "re": 1.0}]
+    configs = [
+        {"command": "enumerate", "presentation": {"builtin": "braid", "n": 3}, "L": 4},
+        {"command": "divisors", "presentation": {"builtin": "free", "n": 2}, "L": 4},
+        {"command": "coaction", "presentation": {"builtin": "braid", "n": 3}, "map": "length", "L_P": 3, "L_Q": 4, "F": [2]},
+        {"command": "fdapprox", "presentation": {"builtin": "braid", "n": 4}, "F": ["s1.s2.s3.s1.s2.s1.s3.s2"], "L": 8},
+        {"command": "funcalg", "kernel": "hardy", "phi": phi, "D": 20},
+    ]
+    paths = [tmp_path / ("config_%d.json" % k) for k in range(len(configs))]
+    for path, config in zip(paths, configs):
+        path.write_text(json.dumps(config))
+    script = textwrap.dedent(
+        """
+        import json, sys
+        from semifd.cli import main
+        scipy = lambda: sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+        *monoids, hardy = sys.argv[1:-1]
+        statuses = [main(["--config", path, "--out", sys.argv[-1]]) for path in monoids]
+        before = scipy()
+        statuses.append(main(["--config", hardy, "--out", sys.argv[-1]]))
+        print(json.dumps({"statuses": statuses, "before": before, "after": scipy()}))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-c", script, *map(str, paths), str(tmp_path / "report.json")]
+    result = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=300).stdout)
+    assert result["statuses"] == [0] * 5
+    assert result["before"] == []
+    assert "scipy.linalg" in result["after"] and not [k for k in result["after"] if k.startswith("scipy.sparse")]
 
 
 def test_fock_dimension_cap_trips_before_any_basis(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ import semifd as sf
 from semifd import linrep
 from semifd.linrep import partial_map
 
-from oracles import gram_operator_norm, scipy_algebra, scipy_canonical
+from oracles import gram_operator_norm, scipy_algebra, scipy_canonical, scipy_operator_norm
 
 
 def test_shift_on_naturals(nat1):
@@ -76,6 +77,11 @@ def test_negative_levels_raise():
     for call in calls:
         with pytest.raises(sf.LengthBoundError):
             call(-1)
+    for left in (False, True):  # nor may divisor sets fill to the top level, or past it
+        for n in (-1, 4):
+            with pytest.raises(sf.LengthBoundError, match="requested level %d outside 0..3" % n):
+                table.divisor_sets(n, left)
+        assert len(table.divisor_sets(0, left)) == 1
     adj = sf.lambda_adjoint_op(table, a, 0)
     assert adj.domain.dim == 1 and adj.is_zero()
 
@@ -211,7 +217,7 @@ def test_banded_and_dense_gram_match_svd(n, width, monkeypatch):
     kd = min(2 * width, n - 1)
     expected = "eigvalsh" if n <= 64 else "eig_banded" if kd <= 8 else "eigsh"
     calls = []
-    for module, name in ((np.linalg, "eigvalsh"), (linrep, "eig_banded"), (scipy.sparse.linalg, "eigsh")):
+    for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eig_banded"), (scipy.sparse.linalg, "eigsh")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
     rng = np.random.default_rng(n + width)
@@ -232,7 +238,7 @@ def test_estimate_below_lambda_max_fails_the_cholesky(estimator, monkeypatch):
     # a mutation of the estimate: mu0 = theta0 (1 + 1e-12) lands below
     # lambda_max, so mu0 I - A*A is indefinite and the certificate must refuse
     n, width = {"eigvalsh": (40, 2), "eig_banded": (200, 1), "eigsh": (200, 10)}[estimator]
-    module = {"eigvalsh": np.linalg, "eig_banded": linrep, "eigsh": scipy.sparse.linalg}[estimator]
+    module = {"eigvalsh": np.linalg, "eig_banded": scipy.linalg, "eigsh": scipy.sparse.linalg}[estimator]
     real = getattr(module, estimator)
     monkeypatch.setattr(module, estimator, lambda *a, **k: real(*a, **k) * (1 - 1e-6))
     rng = np.random.default_rng(n)
@@ -442,9 +448,62 @@ def test_overflowing_gram_is_not_certified(n, width, monkeypatch):
     def no_estimate(*args, **kwargs):
         raise AssertionError("an estimator ran")
 
-    for module, name in ((np.linalg, "eigvalsh"), (linrep, "eig_banded"), (scipy.sparse.linalg, "eigsh")):
+    for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eig_banded"), (scipy.sparse.linalg, "eigsh")):
         monkeypatch.setattr(module, name, no_estimate)
     b = sf.Basis(("inf", n), tuple(range(n)))
     A = sf.SparseOperator(b, b, {(i, j): 1e200 for i in range(n) for j in range(i, min(n, i + width + 1))})
     with pytest.raises(sf.SemifdError, match="norm not certified: A\\*A has a non-finite entry"):
         sf.operator_norm(A)
+
+
+def _norm_outcome(norm, A, tol):
+    try:
+        return norm(A, tol=tol)
+    except sf.SemifdError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "kind, n, m, width",
+    [
+        ("eigvalsh", 40, 40, 2),
+        ("eigvalsh", 64, 64, 1),
+        ("eigvalsh", 60, 80, 3),
+        ("eig_banded", 100, 40, 1),
+        ("eig_banded", 300, 300, 2),
+        ("eigsh", 100, 40, 4),
+        ("eigsh", 200, 250, 8),
+        ("zero", 30, 20, 2),
+        ("overflow", 100, 100, 10),
+    ],
+)
+def test_operator_norm_matches_scipy_oracle_bit_for_bit(kind, n, m, width, complex_data, monkeypatch):
+    # the former routine formed A*A by dense numpy (m n <= 4096) or scipy.sparse;
+    # the norm read off the operator's own arrays must be the same float or the
+    # same refusal. Column j of the m x n operator is random near row j m / n, so
+    # A*A has a narrow band; scaled by 0 it is the zero operator, and by 1e200
+    # its Gram overflows
+    calls = []
+    for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eig_banded"), (scipy.sparse.linalg, "eigsh")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    rng, scale = np.random.default_rng(n * m + width), {"zero": 0.0, "overflow": 1e200}.get(kind, 1.0)
+    entries = {
+        (i, j): scale * complex(rng.normal(), rng.normal() if complex_data else 0.0)
+        for j in range(n)
+        for i in range(max(0, j * m // n - width), min(m, j * m // n + width + 1))
+    }
+    A = sf.SparseOperator(sf.Basis(("bit", n), tuple(range(n))), sf.Basis(("bit", m), tuple(range(m))), entries)
+    outcome = _norm_outcome(sf.operator_norm, A, 1e-9)
+    assert outcome == _norm_outcome(scipy_operator_norm, A, 1e-9)
+    if kind == "zero":
+        assert outcome == 0.0 and A.is_zero() and not calls
+    elif kind == "overflow":
+        assert outcome == "SemifdError: norm not certified: A*A has a non-finite entry" and not calls
+    else:
+        assert type(outcome) is float and set(calls) == {kind}
+    if kind not in ("zero", "overflow") and n * m > 4096:  # a sparse Gram, summed in the same order
+        refusal = _norm_outcome(sf.operator_norm, A, 1e-14)
+        assert refusal.startswith("SemifdError: norm not certified: bracket width")
+        assert refusal == _norm_outcome(scipy_operator_norm, A, 1e-14)
