@@ -1,8 +1,8 @@
 """Batch front end: read a JSON config, run one computation family with its
 attached invariant checks, and emit a deterministic JSON report.
 
-Exit status: 0 all checks pass, 1 an invariant check failed, 2 config error,
-3 resource limit exceeded.
+Exit status, set in main alone by the error's type: 0 all checks pass, 1 a check
+raised InvariantError, 2 InputError (a config error), 3 ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -19,37 +19,32 @@ import numpy as np
 from . import coaction as coact
 from . import fdapprox, funcalg
 from .enumeration import abelianization, enumerate_monoid, length_map
-from .errors import ControlledMapError, PresentationError, ResourceLimitError, SemifdError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .funcalg import KernelSpec, Polynomial
 from .linrep import operator_norm
 from .presentations import MonoidPresentation, builtin, free, nat, parse_presentation
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _load_presentation(cfg) -> MonoidPresentation:
     if not isinstance(cfg, dict):
-        raise ConfigError('"presentation" must be an object')
+        raise InputError('"presentation" must be an object')
     if "builtin" in cfg:
         params = {k: v for k, v in cfg.items() if k != "builtin"}
         try:
             return builtin(cfg["builtin"], **params)
-        except (PresentationError, KeyError, TypeError) as exc:
-            raise ConfigError("bad builtin presentation: %s" % exc)
+        except (KeyError, TypeError, ValueError) as exc:  # a missing, mistyped or misshapen parameter
+            raise InputError("bad builtin presentation: %s" % exc)
     if "path" in cfg:
+        if not isinstance(cfg["path"], str):  # open() takes an int as a file descriptor
+            raise InputError('"path" must be a string')
         try:
             with open(cfg["path"], "r", encoding="utf-8") as fh:
                 return parse_presentation(fh.read())
-        except (OSError, PresentationError) as exc:
-            raise ConfigError("cannot load presentation: %s" % exc)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes that are not UTF-8
+            raise InputError("cannot load presentation: %s" % exc)
     if "generators" in cfg:
-        try:
-            return parse_presentation(json.dumps(cfg))
-        except PresentationError as exc:
-            raise ConfigError(str(exc))
-    raise ConfigError('"presentation" needs "builtin", "path" or inline "generators"')
+        return parse_presentation(json.dumps(cfg))
+    raise InputError('"presentation" needs "builtin", "path" or inline "generators"')
 
 
 def _is_count(value) -> bool:
@@ -57,29 +52,31 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number (booleans, NaN and ints beyond float range are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _count(cfg, key: str, default: int) -> int:
     """A nonnegative integer field of the config."""
     value = cfg.get(key, default)
     if not _is_count(value):
-        raise ConfigError('"%s" must be a nonnegative integer, got %r' % (key, value))
+        raise InputError('"%s" must be a nonnegative integer, got %r' % (key, value))
     return value
 
 
 def _F_words(pres: MonoidPresentation, raw) -> list:
     """The words of a list F: "."-separated generator names, or n for g_0^n."""
     if not isinstance(raw, list):
-        raise ConfigError('"F" must be a list')
+        raise InputError('"F" must be a list')
     out = []
     for item in raw:
         if _is_count(item):
             out.append((0,) * item)
         elif isinstance(item, str):
-            try:
-                out.append(pres.parse_word(item))
-            except PresentationError as exc:
-                raise ConfigError("bad F: %s" % exc)
+            out.append(pres.parse_word(item))
         else:
-            raise ConfigError("F entries must be words or nonnegative integers")
+            raise InputError("F entries must be words or nonnegative integers")
     return out
 
 
@@ -87,39 +84,35 @@ def _load_kernel(cfg) -> KernelSpec:
     if isinstance(cfg, str):
         cfg = {"name": cfg}
     if not isinstance(cfg, dict) or "name" not in cfg:
-        raise ConfigError('"kernel" must be a name or an object with "name"')
-    name = cfg["name"]
+        raise InputError('"kernel" must be a name or an object with "name"')
     d = _count(cfg, "d", 1)  # 0 is refused by KernelSpec
-    try:
-        if name == "custom":
-            return KernelSpec(d, "custom", tuple(float(c) for c in cfg["coefficients"]))
-        return KernelSpec(d, name)
-    except (SemifdError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("bad kernel: %s" % exc)
+    if cfg["name"] != "custom":
+        return KernelSpec(d, cfg["name"])
+    if not isinstance(cfg.get("coefficients"), list) or not all(map(_is_number, cfg["coefficients"])):
+        raise InputError('custom kernel "coefficients" must be a list of finite numbers')
+    return KernelSpec(d, "custom", tuple(map(float, cfg["coefficients"])))
 
 
 def _load_polynomial(cfg, d: int) -> Polynomial:
-    if not isinstance(cfg, list):
-        raise ConfigError('"phi" must be a list of {"exponents", "re", "im"} terms')
+    if not isinstance(cfg, list) or not all(
+        isinstance(t, dict) and _is_number(t.get("re", 0.0)) and _is_number(t.get("im", 0.0)) for t in cfg
+    ):
+        raise InputError('"phi" must be a list of {"exponents", "re", "im"} terms, re and im finite numbers')
     try:
         return Polynomial.parse_terms(d, cfg)
-    except (SemifdError, KeyError, TypeError) as exc:
-        raise ConfigError("bad polynomial: %s" % exc)
+    except (KeyError, TypeError) as exc:  # a missing or non-list "exponents"
+        raise InputError("bad polynomial: %s" % exc)
 
 
 class CheckRunner:
     def __init__(self):
         self.checks = []
-        self.failed = False
 
     def run(self, name: str, fn):
+        """Record fn's witness, or the InvariantError it raises as a failed check; any other error propagates."""
         try:
-            witness = fn()
-            self.checks.append({"name": name, "status": "pass", "witness": witness})
-        except ResourceLimitError:
-            raise
-        except SemifdError as exc:
-            self.failed = True
+            self.checks.append({"name": name, "status": "pass", "witness": fn()})
+        except InvariantError as exc:
             self.checks.append({"name": name, "status": "fail", "witness": str(exc)})
 
 
@@ -148,7 +141,7 @@ def _cmd_divisors(cfg, max_words):
     def bijection():
         for word, r, l in sizes:
             if r != l:
-                raise SemifdError("|R_p| != |L_p| at p=%s" % word)
+                raise InvariantError("|R_p| != |L_p| at p=%s" % word)
         return "all equal"
 
     def nesting():
@@ -157,7 +150,7 @@ def _cmd_divisors(cfg, max_words):
             bad = [r for r in Rp if not R[r] <= Rp]
             if bad:
                 r = table.element(min(bad))
-                raise SemifdError("R_r not inside R_p for r=%s, p=%s" % (table.str_of(r), table.str_of(p)))
+                raise InvariantError("R_r not inside R_p for r=%s, p=%s" % (table.str_of(r), table.str_of(p)))
         return "nested"
 
     runner.run("divisor-bijection", bijection)
@@ -169,7 +162,7 @@ def _cmd_fdapprox(cfg, max_words, norm_tol):
     pres = _load_presentation(cfg.get("presentation"))
     L = _count(cfg, "L", 5)
     if not isinstance(cfg.get("F"), list) or not cfg["F"]:
-        raise ConfigError('"F" must be a nonempty list')
+        raise InputError('"F" must be a nonempty list')
     words = _F_words(pres, cfg["F"])
     # compressions form s*r only with |s| + |r| <= max|F|; the checks run over the L-ball
     table = enumerate_monoid(pres, max(L, *map(len, words)), max_words=max_words)
@@ -188,7 +181,7 @@ def _cmd_fdapprox(cfg, max_words, norm_tol):
         for s, op in zip(ball, compressions):  # as a rule 0/1 partial maps (s*r = s*r' forces r = r')
             nrm = 1.0 if op.is_partial_map() else operator_norm(op, tol=norm_tol)
             if not nrm <= 1 + 1e-12:  # NaN fails
-                raise SemifdError("compression norm %r > 1 at s=%s" % (nrm, table.str_of(s)))
+                raise InvariantError("compression norm %r > 1 at s=%s" % (nrm, table.str_of(s)))
         return "all <= 1"
 
     runner.run("kernel-formula", kernel)
@@ -203,36 +196,29 @@ def _cmd_coaction(cfg, max_words):
     L_Q = _count(cfg, "L_Q", 4)
     map_kind = cfg.get("map", "length")
     if map_kind not in ("length", "abelianization"):
-        raise ConfigError('"map" must be "length" or "abelianization"')
+        raise InputError('"map" must be "length" or "abelianization"')
     target_pres = free(1) if map_kind == "length" else nat(len(pres.generators))
     words = _F_words(target_pres, cfg.get("F", []))
     src_bound = max(L_P + 1, *map(len, words), 2)
     source = enumerate_monoid(pres, src_bound, max_words=max_words)
     target = enumerate_monoid(target_pres, src_bound + L_Q + 1, max_words=max_words)
-    if map_kind == "length":
-        phi = length_map(source, target)
-    else:
-        try:
-            phi = abelianization(source, target)
-        except ControlledMapError as exc:
-            raise ConfigError("bad map: %s" % exc)
-    spec = coact.CoactionSpec(phi)
+    phi = (length_map if map_kind == "length" else abelianization)(source, target)
     runner = CheckRunner()
     tables = {}
 
     def reconstruction():
         elems = source.elements_up_to(2)
         a = coact.AlgebraElement(source, {p: 1.0 + p.index for p in elems})
-        coact.character_reconstruction(spec, a)
+        coact.character_reconstruction(phi, a)
         return {"support": len(elems), "character": coact.apply_character(a).real}
 
-    runner.run("fell-absorption", lambda: coact.fell_intertwiner(spec, L_P, L_Q)[1])  # (W, report)
+    runner.run("fell-absorption", lambda: coact.fell_intertwiner(phi, L_P, L_Q)[1])  # (W, report)
     runner.run("character-reconstruction", reconstruction)
     if words:
         F = [target.element_from_word(w) for w in words]
 
         def spanning():
-            span, count = coact.qf_spanning_set(spec, F)
+            span, count = coact.qf_spanning_set(phi, F)
             tables["qf_spanning_cardinality"] = count
             return {"cardinality": count}
 
@@ -246,20 +232,20 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
     D = _count(cfg, "D", 8)
     F = cfg.get("F", [])
     if not isinstance(F, list) or not all(map(_is_count, F)):
-        raise ConfigError('"F" must be a list of nonnegative integers')
+        raise InputError('"F" must be a list of nonnegative integers')
     if kernel.name == "custom" and len(kernel.explicit) <= D:
-        raise ConfigError("custom kernel lists c_0..c_%d, D = %d needs c_D" % (len(kernel.explicit) - 1, D))
+        raise InputError("custom kernel lists c_0..c_%d, D = %d needs c_D" % (len(kernel.explicit) - 1, D))
     if math.comb(D + kernel.d, kernel.d) > max_words:  # before any basis is built
         raise ResourceLimitError("Fock basis of degree <= %d exceeds cap %d" % (D, max_words))
     runner = CheckRunner()
     tables = {}
 
     def norm_ladder():
-        ladder = sorted({max(1, D // 4), max(1, D // 2), D})
+        ladder = sorted({D // 4 or D, D // 2 or D, D})  # no rung above D
         values = [funcalg.multiplier_norm_lower(kernel, phi, dd, norm_tol, max_words) for dd in ladder]
         for lo, hi in zip(values, values[1:]):
             if not lo <= hi + 1e-10:  # NaN fails
-                raise SemifdError("compression norms decreased along %r" % (ladder,))
+                raise InvariantError("compression norms decreased along %r" % (ladder,))
         tables["norm_lower_bounds"] = [[dd, v] for dd, v in zip(ladder, values)]
         return {"D": D, "norm_lower": values[-1]}
 
@@ -276,7 +262,7 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite err fails below
                 err = float(np.abs(G.conj()[:, None] * M * G - rhs).max())
             if not err <= 1e-12:  # NaN fails
-                raise SemifdError("covariance violated at 8th root %d: err %r" % (k, err))
+                raise InvariantError("covariance violated at 8th root %d: err %r" % (k, err))
         return "within 1e-12"
 
     def grading():
@@ -285,7 +271,7 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
         for _, part in components:
             total = total + part
         if total != phi:
-            raise SemifdError("homogeneous components do not sum back")
+            raise InvariantError("homogeneous components do not sum back")
         tables["homogeneous_degrees"] = [n for n, _ in components]
         if F:
             tables["quotient_dimension"] = qdim
@@ -319,8 +305,8 @@ def _round_floats(obj):
 
 def execute(config: dict, args) -> tuple[dict, int]:
     command = config.get("command")
-    if command not in _COMMANDS:
-        raise ConfigError('"command" must be one of %s' % sorted(_COMMANDS))
+    if not isinstance(command, str) or command not in _COMMANDS:  # a list or dict is unhashable
+        raise InputError('"command" must be one of %s' % sorted(_COMMANDS))
     t0 = time.monotonic()
     runner, tables = _COMMANDS[command](config, args)
     ms = (time.monotonic() - t0) * 1000.0
@@ -330,7 +316,7 @@ def execute(config: dict, args) -> tuple[dict, int]:
         "tables": tables,
         "ms": ms if args.timing else 0.0,
     }
-    return _round_floats(report), (1 if runner.failed else 0)
+    return _round_floats(report), int(any(c["status"] == "fail" for c in runner.checks))
 
 
 @functools.cache
@@ -360,28 +346,28 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if not args.norm_tol > 0:  # NaN fails; inf asks nothing of the bracket
-            raise ConfigError("--norm-tol must be a positive number, got %r" % args.norm_tol)
+            raise InputError("--norm-tol must be a positive number, got %r" % args.norm_tol)
         if args.config == "-":
             config = json.load(sys.stdin)
         else:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
         if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object")
+            raise InputError("config must be a JSON object")
         report, status = execute(config, args)
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+        text = json.dumps(report, indent=2) + "\n"
+        if args.out:  # an unwritable path is a config error too
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return status
+    except (InputError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return 3
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return status
 
 
 if __name__ == "__main__":

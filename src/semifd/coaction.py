@@ -10,12 +10,10 @@ quotients indexed by finite subsets of Q are finite-dimensional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .enumeration import ControlledMap, EnumerationTable, MonoidElement
-from .errors import LengthBoundError, SemifdError
+from .errors import InputError, InvariantError, LengthBoundError
 from .linrep import (
     SparseOperator,
     graded_basis,
@@ -46,7 +44,7 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if other.table is not self.table:
-            raise SemifdError("algebra elements over different tables")
+            raise InputError("algebra elements over different tables")
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
             out[p] = out.get(p, 0) + c
@@ -55,7 +53,7 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Formal product via the monoid multiplication (lengths must fit)."""
         if other.table is not self.table:
-            raise SemifdError("algebra elements over different tables")
+            raise InputError("algebra elements over different tables")
         out: dict[MonoidElement, complex] = {}
         for p, cp in self.coeffs.items():
             for q, cq in other.coeffs.items():
@@ -80,36 +78,21 @@ class AlgebraElement:
         return "AlgebraElement({%s})" % terms
 
 
-@dataclass(frozen=True)
-class CoactionSpec:
-    """Source table P, target table Q, and the controlled map driving delta."""
-
-    phi: ControlledMap
-
-    @property
-    def source(self) -> EnumerationTable:
-        return self.phi.source
-
-    @property
-    def target(self) -> EnumerationTable:
-        return self.phi.target
-
-
-def delta_apply(spec: CoactionSpec, a: AlgebraElement, L_P: int, L_Q: int) -> SparseOperator:
+def delta_apply(phi: ControlledMap, a: AlgebraElement, L_P: int, L_Q: int) -> SparseOperator:
     """The operator sum c_p (lambda_p (x) lambda_{phi(p)}) on the graded tensor
     truncation with domain levels (L_P, L_Q); the codomain levels are the
     smallest ones holding every image."""
-    if a.table is not spec.source:
-        raise SemifdError("element does not live over the coaction source")
-    dom = tensor_basis(graded_basis(spec.source, L_P), graded_basis(spec.target, L_Q))
+    if a.table is not phi.source:
+        raise InputError("element does not live over the coaction source")
+    dom = tensor_basis(graded_basis(phi.source, L_P), graded_basis(phi.target, L_Q))
     if not a.coeffs:
         return zero_operator(dom, dom)
     max_p = max(p.length for p in a.coeffs)
-    max_q = max(spec.phi(p).length for p in a.coeffs)
+    max_q = max(phi(p).length for p in a.coeffs)
     total = None
     for p in a.support:
-        term = lambda_op(spec.source, p, L_P, L_cod=L_P + max_p).tensor(
-            lambda_op(spec.target, spec.phi(p), L_Q, L_cod=L_Q + max_q)
+        term = lambda_op(phi.source, p, L_P, L_cod=L_P + max_p).tensor(
+            lambda_op(phi.target, phi(p), L_Q, L_cod=L_Q + max_q)
         ).scale(a.coeffs[p])
         total = term if total is None else total + term
     return total
@@ -129,80 +112,80 @@ def apply_character(a: AlgebraElement) -> complex:
     return sum(a.coeffs.values(), 0j)
 
 
-def character_reconstruction(spec: CoactionSpec, a: AlgebraElement) -> AlgebraElement:
+def character_reconstruction(phi: ControlledMap, a: AlgebraElement) -> AlgebraElement:
     """(id (x) chi) after delta: apply the all-ones character to the second
     tensor leg of the spectral decomposition and re-assemble. Raises if the
     result does not reproduce a coefficient-exactly."""
-    parts = spectral_decompose(a, spec.phi)
+    parts = spectral_decompose(a, phi)
     out = AlgebraElement(a.table, {})
     for q in sorted(parts, key=lambda q: q.index):
         out = out + parts[q]  # chi(lambda_q) = 1
     if out != a:
-        raise SemifdError("character reconstruction failed to reproduce the element")
+        raise InvariantError("character reconstruction failed to reproduce the element")
     return out
 
 
-def _growth(spec: CoactionSpec, L: int) -> int:
+def _growth(phi: ControlledMap, L: int) -> int:
     """Largest |phi(p)| over |p| <= L. Images have length >= 1 and lengths
     add, so it is L max_g |phi(g)|, attained at g^L."""
-    if L > spec.source.L:
-        raise LengthBoundError("requested level %d exceeds bound %d" % (L, spec.source.L))
-    return L * max(img.length for img in spec.phi.gen_images)
+    if L > phi.source.L:
+        raise LengthBoundError("requested level %d exceeds bound %d" % (L, phi.source.L))
+    return L * max(img.length for img in phi.gen_images)
 
 
-def fell_intertwiner_at(spec: CoactionSpec, L_P: int, L_Q: int) -> SparseOperator:
+def fell_intertwiner_at(phi: ControlledMap, L_P: int, L_Q: int) -> SparseOperator:
     """The isometry W: e_p (x) e_k -> e_p (x) e_{phi(p) k} on the truncation
     with domain levels (L_P, L_Q); the second-leg codomain level grows by the
     largest |phi(p)| over |p| <= L_P."""
-    growth = _growth(spec, L_P)
-    if spec.target.L < L_Q + growth:
-        raise LengthBoundError("target enumerated to %d, need %d" % (spec.target.L, L_Q + growth))
-    bP, bQ = graded_basis(spec.source, L_P), graded_basis(spec.target, L_Q)
-    bQ_cod = graded_basis(spec.target, L_Q + growth)
+    growth = _growth(phi, L_P)
+    if phi.target.L < L_Q + growth:
+        raise LengthBoundError("target enumerated to %d, need %d" % (phi.target.L, L_Q + growth))
+    bP, bQ = graded_basis(phi.source, L_P), graded_basis(phi.target, L_Q)
+    bQ_cod = graded_basis(phi.target, L_Q + growth)
     # one row of positions of phi(p) k, k in the L_Q ball, per distinct phi(p)
-    images, inv = np.unique(spec.phi.images[: bP.dim], return_inverse=True)
-    prods = np.array([spec.target.left_products(spec.target.element(v), L_Q) for v in images.tolist()])
+    images, inv = np.unique(phi.images[: bP.dim], return_inverse=True)
+    prods = np.array([phi.target.left_products(phi.target.element(v), L_Q) for v in images.tolist()])
     rows = (np.arange(bP.dim)[:, None] * bQ_cod.dim + prods[inv]).ravel()
     return partial_map(tensor_basis(bP, bQ), tensor_basis(bP, bQ_cod), rows)
 
 
-def fell_intertwiner(spec: CoactionSpec, L_P: int, L_Q: int) -> tuple[SparseOperator, dict]:
+def fell_intertwiner(phi: ControlledMap, L_P: int, L_Q: int) -> tuple[SparseOperator, dict]:
     """Build W at levels (L_P, L_Q) and certify, entrywise-exactly:
     (i) W*W = identity, (ii) W(lambda_p (x) I) = (lambda_p (x) V_p)W for every
     generator p, both sides built into the codomain of W at level L_P + 1."""
-    W = fell_intertwiner_at(spec, L_P, L_Q)
+    W = fell_intertwiner_at(phi, L_P, L_Q)
     report = {"L_P": L_P, "L_Q": L_Q}
     if W.adjoint() @ W != identity_operator(W.domain):
-        raise SemifdError("Fell intertwiner is not an isometry")
+        raise InvariantError("Fell intertwiner is not an isometry")
     report["isometry"] = "exact"
 
     # lengths add in the target, so |phi(p)| + |phi(g)| <= growth_up
-    growth, growth_up = _growth(spec, L_P), _growth(spec, L_P + 1)
-    W_up = fell_intertwiner_at(spec, L_P + 1, L_Q)
-    shift_id = identity_operator(graded_basis(spec.target, L_Q))
+    growth, growth_up = _growth(phi, L_P), _growth(phi, L_P + 1)
+    W_up = fell_intertwiner_at(phi, L_P + 1, L_Q)
+    shift_id = identity_operator(graded_basis(phi.target, L_Q))
     intertwined = []
-    for g in range(len(spec.source.presentation.generators)):
-        p = spec.source.element_from_word((g,))
-        vp = spec.phi(p)
-        lam_p = lambda_op(spec.source, p, L_P)
+    for g in range(len(phi.source.presentation.generators)):
+        p = phi.source.element_from_word((g,))
+        vp = phi(p)
+        lam_p = lambda_op(phi.source, p, L_P)
         # left side: shift first, then W at the deeper level
         lhs = W_up @ lam_p.tensor(shift_id)
         # right side: W first, then lambda_p (x) V_p
-        rhs = lam_p.tensor(lambda_op(spec.target, vp, L_Q + growth, L_cod=L_Q + growth_up)) @ W
+        rhs = lam_p.tensor(lambda_op(phi.target, vp, L_Q + growth, L_cod=L_Q + growth_up)) @ W
         if lhs != rhs:
-            raise SemifdError("Fell intertwining fails for generator %s" % spec.source.str_of(p))
-        intertwined.append(spec.source.presentation.generators[g])
+            raise InvariantError("Fell intertwining fails for generator %s" % phi.source.str_of(p))
+        intertwined.append(phi.source.presentation.generators[g])
     report["intertwined_generators"] = intertwined
     return W, report
 
 
-def qf_spanning_set(spec: CoactionSpec, F) -> tuple[frozenset, int]:
+def qf_spanning_set(phi: ControlledMap, F) -> tuple[frozenset, int]:
     """Spanning set of the quotient indexed by a finite F inside Q: all p in P
     whose image lies in some left-divisor set of a right divisor of F. Its
     (finite) cardinality is the finite-dimensionality witness."""
-    table = spec.target
+    table = phi.target
     targets = table.divisor_union(table.divisor_union(q.index for q in F), left=True)
     span = set()
     for t in sorted(targets):
-        span.update(spec.phi.fiber(table.element(t)))
+        span.update(phi.fiber(table.element(t)))
     return frozenset(span), len(span)

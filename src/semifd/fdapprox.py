@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .enumeration import EnumerationTable, MonoidElement
-from .errors import SemifdError
+from .errors import InputError, InvariantError
 from .linrep import Basis, SparseOperator, partial_map
 
 
@@ -52,7 +52,7 @@ class DivisorSubspace:
         for r in labels:
             if not R[r] <= Y:
                 t = table.element(min(R[r] - Y))
-                raise SemifdError(
+                raise InvariantError(
                     "coinvariance broken: right divisor %s of %s is not in Y_F"
                     % (table.str_of(t), table.str_of(table.element(r)))
                 )
@@ -62,10 +62,10 @@ def build_Y(table: EnumerationTable, F) -> DivisorSubspace:
     """Span of the union of right-divisor sets of the elements of F."""
     F = tuple(F)
     if not F:
-        raise SemifdError("F must be nonempty")
+        raise InputError("F must be nonempty")
     for p in F:
         if table.element(p.index) != p:
-            raise SemifdError("element %s is not in the table" % table.str_of(p))
+            raise InputError("element %s is not in the table" % table.str_of(p))
     basis = Basis(("l2", table.fingerprint), tuple(sorted(table.divisor_union(p.index for p in F))))
     return DivisorSubspace(table, F, basis)
 
@@ -83,7 +83,7 @@ def kernel_set(sub: DivisorSubspace, L: int, compressions=None) -> frozenset:
     by_matrix = {s.index for s, op in zip(ball, compressions) if op.is_zero()}
     by_formula = {s.index for s in ball} - allowed
     if by_matrix != by_formula:
-        raise SemifdError(
+        raise InvariantError(
             "kernel-set mismatch: matrix %r vs formula %r"
             % (sorted(by_matrix), sorted(by_formula))
         )
@@ -112,7 +112,7 @@ def stabilization_index(
         col = sub.basis.index_of(q.index)
         image = {r for (r, c) in mat.entries if c == col}
         if image != {sub.basis.index_of(sq.index)}:
-            raise SemifdError(
+            raise InvariantError(
                 "stabilization failed: Q_F lambda_%s e_%s != e_%s for F=%s"
                 % (
                     table.str_of(s),

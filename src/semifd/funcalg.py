@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeOverflowError, KernelSpecError, SemifdError
+from .errors import DegreeOverflowError, InputError, KernelSpecError
 from .linrep import Basis, SparseOperator, _from_coo, operator_norm
 
 Multidx = tuple[int, ...]
@@ -30,11 +30,11 @@ class Polynomial:
     def __init__(self, d: int, coeffs: dict[Multidx, complex]):
         self.d = d
         for alpha in coeffs:
-            if len(alpha) != d or not all(type(a) is int and a >= 0 for a in alpha):
-                raise SemifdError("bad exponent vector %r for %d variables" % (alpha, d))
+            if len(alpha) != d or not all(type(a) is int and 0 <= a < 2**62 for a in alpha):  # held in int64 arrays
+                raise InputError("bad exponent vector %r for %d variables" % (alpha, d))
         self.coeffs = {a: complex(c) for a, c in coeffs.items() if c != 0}
         if not all(map(cmath.isfinite, self.coeffs.values())):
-            raise SemifdError("polynomial coefficients must be finite")
+            raise InputError("polynomial coefficients must be finite")
 
     @classmethod
     def parse_terms(cls, d: int, terms) -> "Polynomial":
@@ -169,7 +169,7 @@ def multiplication(kernel: KernelSpec, phi: Polynomial, dom: Basis, cod: Basis) 
     are c ||z^(alpha+beta)|| / ||z^alpha||, rounded as the scalar (c * a) / b
     is, with rows found by the exponent vectors alpha + beta."""
     if phi.d != kernel.d:
-        raise SemifdError("polynomial has %d variables, kernel has %d" % (phi.d, kernel.d))
+        raise InputError("polynomial has %d variables, kernel has %d" % (phi.d, kernel.d))
     if kernel.d == 1:  # alpha!/|alpha|! = 1, so monomial_norm is sqrt(1.0 / c_n), bit for bit
         norms = np.sqrt(1.0 / np.array([kernel.c(n) for (n,) in cod.labels]))
     else:
@@ -220,7 +220,7 @@ def homogeneous_decompose(phi: Polynomial) -> list[tuple[int, Polynomial]]:
 def circle_action(phi: Polynomial, zeta: complex) -> Polynomial:
     """Precompose with rotation by zeta: the degree-n part picks up zeta^n."""
     if abs(abs(zeta) - 1.0) > 1e-12:
-        raise SemifdError("rotation parameter must be unimodular, got |zeta| = %r" % abs(zeta))
+        raise InputError("rotation parameter must be unimodular, got |zeta| = %r" % abs(zeta))
     return Polynomial(
         phi.d, {alpha: (zeta ** sum(alpha)) * c for alpha, c in phi.coeffs.items()}
     )
@@ -229,7 +229,7 @@ def circle_action(phi: Polynomial, zeta: complex) -> Polynomial:
 def circle_action_matrix(kernel: KernelSpec, D: int, zeta: complex) -> SparseOperator:
     """The diagonal unitary diag(zeta^{|alpha|}) on the degree<=D basis."""
     if abs(abs(zeta) - 1.0) > 1e-12:
-        raise SemifdError("rotation parameter must be unimodular, got |zeta| = %r" % abs(zeta))
+        raise InputError("rotation parameter must be unimodular, got |zeta| = %r" % abs(zeta))
     basis = fock_basis(kernel, D)
     return SparseOperator(
         basis, basis, {(i, i): zeta ** sum(a) for i, a in enumerate(basis.labels)}
@@ -239,10 +239,5 @@ def circle_action_matrix(kernel: KernelSpec, D: int, zeta: complex) -> SparseOpe
 def n_coaction(phi: Polynomial, F=()) -> tuple[list[tuple[int, Polynomial]], int]:
     """Symbolic grading coaction: the degree-n component is tagged by the shift
     of order n. Also reports the quotient-dimension witness for a finite F:
-    the number of monomials of degree <= max F in d variables."""
-    components = homogeneous_decompose(phi)
-    qdim = 0
-    if F:
-        top = max(F)
-        qdim = sum(math.comb(n + phi.d - 1, phi.d - 1) for n in range(top + 1))
-    return components, qdim
+    the number of monomials of degree <= max F in d variables, C(max F + d, d)."""
+    return homogeneous_decompose(phi), math.comb(max(F) + phi.d, phi.d) if F else 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .enumeration import EnumerationTable, MonoidElement
-from .errors import BasisMismatchError, LengthBoundError, ResourceLimitError, SemifdError
+from .errors import BasisMismatchError, InvariantError, LengthBoundError, ResourceLimitError
 
 
 class Basis:
@@ -111,9 +111,7 @@ class SparseOperator:
         # entry (i, j, a) meets row j of other: positions start + 0, 1, ... of its counts[e] entries
         counts = np.diff(other.indptr)[self.indices]
         pos = np.arange(counts.sum()) + (other.indptr[self.indices] - counts.cumsum() + counts).repeat(counts)
-        a, b = self.data.repeat(counts), other.data[pos]
-        ab = np.empty(len(a), dtype=complex)  # the textbook product, rounded as csr_matmat rounds it
-        ab.real, ab.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+        ab = _times(self.data.repeat(counts), other.data[pos])
         return _from_coo(other.domain, self.codomain, self._rows().repeat(counts), other.indices[pos], ab)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
@@ -172,7 +170,7 @@ class SparseOperator:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if vec.shape != (self.domain.dim,):
             raise BasisMismatchError("vector length does not match domain")
-        return _row_sums(self._rows(), self.data * vec[self.indices], self.codomain.dim)
+        return _row_sums(self._rows(), _times(self.data, vec[self.indices]), self.codomain.dim)
 
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.codomain.dim, self.domain.dim), dtype=complex)
@@ -187,6 +185,13 @@ def _csr(domain: Basis, codomain: Basis, indptr, indices, data) -> SparseOperato
     op = SparseOperator.__new__(SparseOperator)
     op.domain, op.codomain, op.indptr, op.indices, op.data = domain, codomain, indptr, indices, data
     return op
+
+
+def _times(a, b) -> np.ndarray:
+    """a * b entrywise by the textbook complex product, rounded as csr_matvec and csr_matmat round it."""
+    ab = np.empty(len(a), dtype=np.result_type(a, b, 1j))
+    ab.real, ab.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    return ab
 
 
 def _row_sums(rows, terms, m: int) -> np.ndarray:
@@ -279,13 +284,17 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     theta0 ~ lambda_max(G), G = A.adjoint() @ A (real for real A), is estimated by dense eigvalsh (n <= 64),
     eig_banded (half-bandwidth kd <= 8) or ARPACK eigsh. A Cholesky of mu0 I - G, mu0 = theta0 (1 + 1e-12),
     that runs to completion in band storage gives mu: mu0, Rump's pad (BIT 46, 2006, kd + 2 for n + 1; the
-    lesser of tr and (2kd + 1) max diag; normal range) and G's rounding. Inverse iteration with that factor
-    gives v; theta is |Av|^2 / |v|^2 in extended precision less its rounding bound. SemifdError if G has a
-    non-finite entry, the Cholesky fails or sqrt(mu / theta) - 1 > tol; ResourceLimitError first if
-    (kd + 1) n > max_words.
+    lesser of tr and (2kd + 1) max diag) and G's rounding. Inverse iteration with that factor gives v; theta
+    is |Av|^2 / |v|^2 in extended precision less its rounding bound. A finite A is first scaled exactly by
+    2^-e, which puts its largest real or imaginary part in [1/2, 1), and the result by 2^e, so G stays in
+    the normal range. InvariantError if G has a non-finite entry, the Cholesky fails or sqrt(mu / theta) - 1 > tol;
+    ResourceLimitError first if (kd + 1) n > max_words.
     """
     if A.is_zero():
         return 0.0
+    parts = A.data.view(float)  # complex128 as (re, im) pairs
+    e = int(np.frexp(abs(parts).max())[1]) if np.isfinite(parts).all() else 0
+    A = _csr(A.domain, A.codomain, A.indptr, A.indices, np.ldexp(parts, -e).view(complex))
     from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded  # scipy loads with the first norm
     n, m, rows, cols, real = A.domain.dim, A.codomain.dim, A._rows(), A.indices, not A.data.imag.any()
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is refused below
@@ -297,7 +306,7 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     band, low = _band(kd, n, gram.dtype), g_rows >= g_cols
     band[g_rows[low] - g_cols[low], g_cols[low]] = gram[low]
     if not np.isfinite(band).all():
-        raise SemifdError("norm not certified: A*A has a non-finite entry")
+        raise InvariantError("norm not certified: A*A has a non-finite entry")
     if n <= 64:
         theta0 = np.linalg.eigvalsh(G.to_dense().real if real else G.to_dense())[-1]
     elif kd <= 8:
@@ -308,7 +317,7 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
         try:
             theta0 = linalg.eigsh(G, k=1, which="LA", return_eigenvectors=False, v0=v)[0]
         except linalg.ArpackNoConvergence:
-            raise SemifdError("norm not certified: Lanczos did not converge")
+            raise InvariantError("norm not certified: Lanczos did not converge")
     band *= -1
     band[0] += (mu0 := theta0 * (1 + 1e-12))
     c, k2, ext = (1.0, 0, np.longdouble) if real else (2.0, 2, np.clongdouble)  # complex: 2 gamma_(k+2)
@@ -320,7 +329,7 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     try:
         chol = cholesky_banded(band, lower=True, overwrite_ab=True)
     except np.linalg.LinAlgError:
-        raise SemifdError("norm not certified: mu I - A*A is not definite at mu = %r" % mu0)
+        raise InvariantError("norm not certified: mu I - A*A is not definite at mu = %r" % np.ldexp(mu0, 2 * e))
     for _ in range(3):
         v = cho_solve_banded((chol, True), v)
         v /= np.linalg.norm(v)
@@ -330,5 +339,5 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     r = gam(np.diff(A.indptr).max(), uL) * np.sqrt(sq(_row_sums(rows, abs(ax) * abs(vx[cols]), m)) / sq(y))
     theta = sq(y) / sq(vx) * (1 - r) ** 2 * (1 - gam(4 * n + 16, uL))
     if not (width := float(np.sqrt(mu / theta)) - 1) <= tol:
-        raise SemifdError("norm not certified: bracket width %.3e > tol %.3e" % (width, tol))
-    return float(np.sqrt(theta))
+        raise InvariantError("norm not certified: bracket width %.3e > tol %.3e" % (width, tol))
+    return float(np.ldexp(np.sqrt(theta), e))

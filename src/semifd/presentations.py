@@ -30,8 +30,8 @@ class MonoidPresentation:
         if not self.generators:
             raise PresentationError("presentation needs at least one generator")
         for g in self.generators:
-            if not g:
-                raise PresentationError("generator names must be nonempty")
+            if not isinstance(g, str) or not g:  # names are joined into words
+                raise PresentationError("generator names must be nonempty strings")
         if len(set(self.generators)) != len(self.generators):
             raise PresentationError("generator names must be unique")
         n = len(self.generators)

@@ -253,7 +253,7 @@ def scipy_operator_norm(A, tol: float = 1e-9, max_words: int | None = None) -> f
     bracket, with A*A formed by dense numpy (m n <= 4096) or scipy.sparse."""
     from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
-    from semifd.errors import ResourceLimitError, SemifdError
+    from semifd.errors import InvariantError, ResourceLimitError
 
     def _band(kd, n, dtype):
         return np.zeros((kd + 1, n), dtype=dtype, order="F")
@@ -272,7 +272,7 @@ def scipy_operator_norm(A, tol: float = 1e-9, max_words: int | None = None) -> f
     band, low = _band(kd, n, G.dtype), G.row >= G.col
     band[G.row[low] - G.col[low], G.col[low]] = G.data[low]
     if not np.isfinite(band).all():
-        raise SemifdError("norm not certified: A*A has a non-finite entry")
+        raise InvariantError("norm not certified: A*A has a non-finite entry")
     if n <= 64:
         theta0 = np.linalg.eigvalsh(G.toarray())[-1]
     elif kd <= 8:
@@ -283,7 +283,7 @@ def scipy_operator_norm(A, tol: float = 1e-9, max_words: int | None = None) -> f
         try:
             theta0 = eigsh(G.tocsr(), k=1, which="LA", return_eigenvectors=False, v0=v)[0]
         except ArpackNoConvergence:
-            raise SemifdError("norm not certified: Lanczos did not converge")
+            raise InvariantError("norm not certified: Lanczos did not converge")
     band *= -1
     band[0] += (mu0 := theta0 * (1 + 1e-12))
     c, k2 = (2.0, 2) if M.dtype.kind == "c" else (1.0, 0)  # complex arithmetic: 2 gamma_(k+2)
@@ -294,7 +294,7 @@ def scipy_operator_norm(A, tol: float = 1e-9, max_words: int | None = None) -> f
     try:
         chol = cholesky_banded(band, lower=True, overwrite_ab=True)
     except np.linalg.LinAlgError:
-        raise SemifdError("norm not certified: mu I - A*A is not definite at mu = %r" % mu0)
+        raise InvariantError("norm not certified: mu I - A*A is not definite at mu = %r" % mu0)
     for _ in range(3):
         v = cho_solve_banded((chol, True), v)
         v /= np.linalg.norm(v)
@@ -304,5 +304,5 @@ def scipy_operator_norm(A, tol: float = 1e-9, max_words: int | None = None) -> f
     r = gam(np.diff(A.indptr).max(), uL) * np.sqrt(sq(abs(Mx) @ abs(vx)) / sq(y))  # bounds |Av - y| / |y|
     theta = sq(y) / sq(vx) * (1 - r) ** 2 * (1 - gam(4 * n + 16, uL))
     if not (width := float(np.sqrt(mu / theta)) - 1) <= tol:
-        raise SemifdError("norm not certified: bracket width %.3e > tol %.3e" % (width, tol))
+        raise InvariantError("norm not certified: bracket width %.3e > tol %.3e" % (width, tol))
     return float(np.sqrt(theta))

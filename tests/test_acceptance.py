@@ -101,7 +101,7 @@ def test_criterion_07_fell_absorption():
     with criterion(7, "Fell absorption intertwiner"):
         braid = sf.enumerate_monoid(sf.braid(3), 5)
         lengths = sf.enumerate_monoid(sf.nat(1), 12)
-        spec = sf.CoactionSpec(sf.length_map(braid, lengths))
+        spec = sf.length_map(braid, lengths)
         W, report = sf.fell_intertwiner(spec, 3, 4)
         assert report["isometry"] == "exact"
         assert report["intertwined_generators"] == ["s1", "s2"]
@@ -109,7 +109,7 @@ def test_criterion_07_fell_absorption():
 
         free2 = sf.enumerate_monoid(sf.free(2), 5)
         lattice = sf.enumerate_monoid(sf.nat(2), 12)
-        spec2 = sf.CoactionSpec(sf.abelianization(free2, lattice))
+        spec2 = sf.abelianization(free2, lattice)
         _, report2 = sf.fell_intertwiner(spec2, 3, 4)
         assert report2["isometry"] == "exact"
         assert report2["intertwined_generators"] == ["a", "b"]
@@ -119,7 +119,7 @@ def test_criterion_08_coaction_bookkeeping():
     with criterion(8, "coaction bookkeeping"):
         braid = sf.enumerate_monoid(sf.braid(3), 5)
         lengths = sf.enumerate_monoid(sf.nat(1), 8)
-        spec = sf.CoactionSpec(sf.length_map(braid, lengths))
+        spec = sf.length_map(braid, lengths)
         rng = np.random.default_rng(20260823)
         pool = braid.elements_up_to(4)
         for _ in range(100):
@@ -129,7 +129,7 @@ def test_criterion_08_coaction_bookkeeping():
                 braid,
                 {pool[i]: complex(rng.normal(), rng.normal()) for i in picks},
             )
-            parts = sf.spectral_decompose(a, spec.phi)
+            parts = sf.spectral_decompose(a, spec)
             total = sf.AlgebraElement(braid, {})
             for q in parts:
                 total = total + parts[q]

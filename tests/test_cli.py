@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +9,10 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import semifd as sf
 from semifd import cli, funcalg, linrep
 from semifd.cli import main
 from semifd.enumeration import EnumerationTable
@@ -122,6 +127,14 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
 def test_missing_file_is_config_error(capsys):
     assert main(["--config", "/nonexistent/config.json"]) == 2
     capsys.readouterr()
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    config = {"command": "enumerate", "presentation": {"builtin": "free", "n": 1}, "L": 2}
+    status = main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "missing" / "report.json")])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
 
 
 def test_resource_limit_is_status_3(tmp_path, capsys):
@@ -269,6 +282,15 @@ def test_inline_presentation_document(tmp_path, capsys):
         {"command": "funcalg", "kernel": {"name": "custom", "coefficients": [1.0, float("inf"), 1.0]}, "D": 2},
         {"command": "enumerate", "presentation": {"generators": ["a", "b"], "relations": [["a.b", 3]]}},
         {"command": "enumerate", "presentation": {"generators": ["a", "b"], "relations": [["a.b"]]}},
+        {"command": "enumerate", "presentation": {"builtin": "raag", "vertices": ["a", "b"], "edges": ["a"]}},
+        {"command": "divisors", "presentation": {"builtin": "raag", "vertices": [1, 2]}, "L": 2},
+        {"command": []},
+        {"command": "funcalg", "kernel": {"name": "custom", "coefficients": "1111"}, "D": 2},
+        {"command": "funcalg", "kernel": {"name": "custom", "coefficients": {"1": 1, "2": 1, "3": 1}}, "D": 2},
+        {"command": "funcalg", "kernel": {"name": "custom", "coefficients": ["1", "0.5", "0.25"]}, "D": 2},
+        {"command": "funcalg", "kernel": {"name": "custom", "coefficients": [1, True, True]}, "D": 2},
+        {"command": "funcalg", "kernel": "hardy", "D": 4, "phi": [{"exponents": [1], "re": True}]},
+        {"command": "funcalg", "kernel": "hardy", "D": 4, "phi": [{"exponents": [10**20], "re": 1.0}]},
     ],
     ids=[
         "negative-L",
@@ -294,6 +316,15 @@ def test_inline_presentation_document(tmp_path, capsys):
         "custom-kernel-infinite-coefficient",
         "non-string-relation-word",
         "one-word-relation",
+        "raag-one-vertex-edge",
+        "raag-integer-vertices",
+        "unhashable-command",
+        "custom-kernel-string-coefficients",
+        "custom-kernel-object-coefficients",
+        "custom-kernel-numeric-strings",
+        "custom-kernel-boolean-coefficients",
+        "polynomial-boolean-coefficient",
+        "polynomial-exponent-beyond-int64",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, config):
@@ -301,6 +332,32 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, config):
     assert status == 2
     assert report is None
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "error, status",
+    [
+        (sf.InvariantError, 1),
+        (sf.CancellativityError, 1),
+        (sf.InputError, 2),
+        (sf.LengthBoundError, 2),
+        (sf.ResourceLimitError, 3),
+    ],
+)
+def test_error_type_decides_the_exit_status(tmp_path, capsys, monkeypatch, error, status):
+    # only an InvariantError becomes a failed check in a report; any other error
+    # raised inside a check ends the run with its one stderr line
+    def raises(self):
+        raise error("raised inside the check")
+
+    monkeypatch.setattr(EnumerationTable, "check_cancellation", raises)
+    config = {"command": "enumerate", "presentation": {"builtin": "free", "n": 1}, "L": 2}
+    got, report, err = run(tmp_path, capsys, config)
+    assert got == status
+    if status == 1:
+        assert err == "" and {"name": "cancellation", "status": "fail", "witness": "raised inside the check"} in report["checks"]
+    else:
+        assert report is None and err.count("\n") == 1 and err.endswith(": raised inside the check\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
@@ -408,9 +465,10 @@ def test_covariance_needs_coefficients_up_to_D_only(tmp_path, capsys):
 @pytest.mark.parametrize(
     "kernel, phi, D, check, witness",
     [
-        # (1e200)^2 overflows the Gram band: refused before any estimator runs
-        ("hardy", [[0, 1e200], [1, 1.0]], 100, "norm-monotone", "norm not certified: A*A has a non-finite entry"),
-        ("hardy", [[0, 1e160], [1, 1.0]], 8, "norm-monotone", "norm not certified: A*A has a non-finite entry"),
+        # (1e200)^2 would overflow the Gram band; the norm is certified on A scaled
+        # exactly by a power of two, and | ||a I + S|| - a | <= ||S|| = 1 for the shift S
+        ("hardy", [[0, 1e200], [1, 1.0]], 100, "norm-monotone", 1e200),
+        ("hardy", [[0, 1e160], [1, 1.0]], 8, "norm-monotone", 1e160),
         # 1e308 times a Dirichlet norm ratio above 1 overflows: every error is nan, and nan fails
         ("dirichlet", [[0, 1.0], [3, 1e308]], 8, "circle-covariance", "covariance violated at 8th root 0: err nan"),
     ],
@@ -421,5 +479,106 @@ def test_non_finite_values_fail_their_check(tmp_path, capsys, kernel, phi, D, ch
     with warnings.catch_warnings():  # overflow stays silent: stderr holds no RuntimeWarning lines
         warnings.simplefilter("error", RuntimeWarning)
         status, report, err = run(tmp_path, capsys, {"command": "funcalg", "kernel": kernel, "phi": terms, "D": D})
-    assert status == 1 and "Traceback" not in err
-    assert {"name": check, "status": "fail", "witness": witness} in report["checks"]
+    assert status in (0, 1) and "Traceback" not in err
+    (got,) = [c for c in report["checks"] if c["name"] == check]
+    if isinstance(witness, str):
+        assert status == 1 and got == {"name": check, "status": "fail", "witness": witness}
+    else:
+        assert got["status"] == "pass" and got["witness"]["norm_lower"] == pytest.approx(witness, rel=1e-11)
+
+
+def test_tiny_symbol_is_certified(tmp_path, capsys):
+    # phi = 1e-80 (1 + z): A*A of 1e-160 entries would underflow without the exact
+    # rescaling; the compression to degree <= 8 has norm 2e-80 cos(pi / 19)
+    phi = [{"exponents": [0], "re": 1e-80}, {"exponents": [1], "re": 1e-80}]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status, report, err = run(tmp_path, capsys, {"command": "funcalg", "kernel": "hardy", "phi": phi, "D": 8})
+    assert status == 0, err
+    (check,) = [c for c in report["checks"] if c["name"] == "norm-monotone"]
+    assert check["witness"]["norm_lower"] == pytest.approx(2e-80 * math.cos(math.pi / 19), rel=1e-9)
+
+
+def test_degree_zero_ladder_has_one_rung(tmp_path, capsys):
+    # at D = 0 the ladder is [0]: M_z compressed to the constants is 0
+    config = {"command": "funcalg", "kernel": "hardy", "phi": [{"exponents": [1], "re": 1.0}], "D": 0}
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 0, err
+    assert report["tables"]["norm_lower_bounds"] == [[0, 0.0]]
+    (check,) = [c for c in report["checks"] if c["name"] == "norm-monotone"]
+    assert check["witness"] == {"D": 0, "norm_lower": 0.0}
+    # a custom kernel that lists c_0 alone suffices at D = 0
+    config = {"command": "funcalg", "kernel": {"name": "custom", "coefficients": [1.0]}, "D": 0}
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 0, err
+    assert all(c["status"] == "pass" for c in report["checks"])
+
+
+# -- main on arbitrary configs ---------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_json(*plausible):
+    """Random JSON one time in four, else a value shaped like the field's, so that deeper code runs too."""
+    return st.sampled_from([_JSON] + [st.one_of(*plausible)] * 3).flatmap(lambda s: s)
+
+
+_NAMES = st.lists(st.sampled_from(["a", "b", "c"]), max_size=3)
+_WORD = st.lists(st.sampled_from(["a", "b", "s1", "s2", "x", "y", "e"]), max_size=3).map(".".join)
+_KERNELS = st.sampled_from(["hardy", "dirichlet", "drury_arveson", "custom"])
+_PRESENTATION = _or_json(
+    st.fixed_dictionaries(  # each family reads the parameters it needs
+        {
+            "builtin": _or_json(st.sampled_from(["free", "nat", "raag", "braid"])),
+            "n": _or_json(st.integers(1, 4)),
+            "d": _or_json(st.integers(1, 3)),
+            "vertices": _or_json(_NAMES.filter(bool)),
+            "edges": _or_json(st.lists(_NAMES, max_size=3)),
+        }
+    ),
+    st.fixed_dictionaries(
+        {"generators": _or_json(_NAMES)}, optional={"relations": _or_json(st.lists(st.lists(_WORD, max_size=3)))}
+    ),
+    st.fixed_dictionaries({"path": _or_json(st.sampled_from(["missing.json", "."]))}),
+)
+_FIELDS = {
+    "map": _or_json(st.sampled_from(["length", "abelianization"])),
+    "F": _or_json(st.lists(st.integers(0, 4) | _WORD, max_size=3)),
+    "kernel": _or_json(
+        _KERNELS,
+        st.fixed_dictionaries({"name": _or_json(_KERNELS)}, optional={"d": _JSON, "coefficients": _JSON}),
+    ),
+    "phi": _or_json(st.lists(st.fixed_dictionaries({"exponents": _JSON}, optional={"re": _JSON, "im": _JSON}), max_size=3)),
+    **{key: _or_json(st.integers(0, 6)) for key in ("L", "L_P", "L_Q", "D")},
+}
+_CONFIGS = st.fixed_dictionaries(
+    {
+        "command": _or_json(st.sampled_from(["enumerate", "divisors", "fdapprox", "coaction", "funcalg"])),
+        "presentation": _PRESENTATION,
+    },
+    optional=_FIELDS,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_CONFIGS)
+def test_main_never_raises_on_arbitrary_config(config):
+    # every outcome is an exit status: 0 or 1 with a report, 2 or 3 with one
+    # stderr line and none
+    stdin, stdout, stderr = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(json.dumps(config)), io.StringIO(), io.StringIO()
+    try:
+        status = main(["--config", "-", "--max-words", "20000"])
+        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = stdin, stdout, stderr
+    assert status in (0, 1, 2, 3)
+    if status < 2:
+        assert json.loads(out)["checks"] and err == ""
+    else:
+        assert out == "" and err.count("\n") == 1 and err.startswith(("config error: ", "resource limit: "))

@@ -8,13 +8,13 @@ import semifd as sf
 
 @pytest.fixture(scope="module")
 def braid_length_spec(braid3, nat1):
-    return sf.CoactionSpec(sf.length_map(braid3, nat1))
+    return sf.length_map(braid3, nat1)
 
 
 @pytest.fixture(scope="module")
 def free_abel_spec(free2):
     target = sf.enumerate_monoid(sf.nat(2), 14)
-    return sf.CoactionSpec(sf.abelianization(free2, target))
+    return sf.abelianization(free2, target)
 
 
 def el(table, text):
@@ -80,10 +80,10 @@ def test_spectral_decompose_by_length(braid_length_spec):
     a = sf.AlgebraElement(
         spec.source, {el(spec.source, "s1"): 2.0, el(spec.source, "s2.s2"): 3.0}
     )
-    parts = sf.spectral_decompose(a, spec.phi)
+    parts = sf.spectral_decompose(a, spec)
     assert {q.length for q in parts} == {1, 2}
     for q, part in parts.items():
-        assert all(spec.phi(p) == q for p in part.support)
+        assert all(spec(p) == q for p in part.support)
 
 
 def test_spectral_decompose_merges_abelianized_words(free_abel_spec):
@@ -91,7 +91,7 @@ def test_spectral_decompose_merges_abelianized_words(free_abel_spec):
     a = sf.AlgebraElement(
         spec.source, {el(spec.source, "a.b"): 1.0, el(spec.source, "b.a"): 1.0}
     )
-    parts = sf.spectral_decompose(a, spec.phi)
+    parts = sf.spectral_decompose(a, spec)
     assert len(parts) == 1
     (q,) = parts
     assert spec.target.str_of(q) == "x.y"
@@ -109,7 +109,7 @@ def test_spectral_subspace_dims_match_growth(braid_length_spec):
     counts = spec.source.counts()
     for n in range(5):
         q = spec.target.element_from_word((0,) * n)
-        assert len(spec.phi.fiber(q)) == counts[n] == [1, 2, 4, 7, 12][n]
+        assert len(spec.fiber(q)) == counts[n] == [1, 2, 4, 7, 12][n]
 
 
 @given(
@@ -123,9 +123,9 @@ def test_spectral_subspace_dims_match_growth(braid_length_spec):
 def test_spectral_reconstruction_random(coeff_by_index):
     table = sf.enumerate_monoid(sf.braid(3), 4)
     target = sf.enumerate_monoid(sf.nat(1), 6)
-    spec = sf.CoactionSpec(sf.length_map(table, target))
+    spec = sf.length_map(table, target)
     a = sf.AlgebraElement(table, {table.element(i): c for i, c in coeff_by_index.items()})
-    parts = sf.spectral_decompose(a, spec.phi)
+    parts = sf.spectral_decompose(a, spec)
     total = sf.AlgebraElement(table, {})
     for q in parts:
         total = total + parts[q]
@@ -155,7 +155,7 @@ def test_character_multiplicative_on_monomials(braid3):
 
 
 def test_fell_intertwiner_on_naturals(nat1):
-    spec = sf.CoactionSpec(sf.length_map(nat1, nat1))
+    spec = sf.length_map(nat1, nat1)
     W, report = sf.fell_intertwiner(spec, 2, 2)
     assert report["isometry"] == "exact"
     # W(e_m (x) e_k) = e_m (x) e_{k+m}
@@ -176,15 +176,15 @@ def test_fell_intertwiner_with_unequal_image_lengths(free2, nat1):
     # a -> x, b -> x^2: the codomain growth max |phi(p)| over |p| <= L_P is
     # read off by brute force over the ball and must match W's second leg
     x = nat1.element_from_word((0,))
-    spec = sf.CoactionSpec(sf.ControlledMap(free2, nat1, [x, nat1.multiply(x, x)]))
+    spec = sf.ControlledMap(free2, nat1, [x, nat1.multiply(x, x)])
     W, report = sf.fell_intertwiner(spec, 3, 4)
     assert report["isometry"] == "exact" and report["intertwined_generators"] == ["a", "b"]
-    growth = max(spec.phi(p).length for p in free2.elements_up_to(3))
+    growth = max(spec(p).length for p in free2.elements_up_to(3))
     assert growth == 6
     assert W.codomain.factors[1] == sf.graded_basis(nat1, 4 + growth)
     for p in free2.elements_up_to(3):
         for k in nat1.elements_up_to(4):
-            row = W.codomain.index_of((p.index, nat1.multiply(spec.phi(p), k).index))
+            row = W.codomain.index_of((p.index, nat1.multiply(spec(p), k).index))
             assert W.entries[(row, W.domain.index_of((p.index, k.index)))] == 1.0
 
 
@@ -243,7 +243,7 @@ def test_qf_spanning_noncommutative_target():
     # over a free target, left and right divisors differ: F = {a.b} has right
     # divisors e, b, a.b, whose left divisors are e, b, a, a.b
     table = sf.enumerate_monoid(sf.free(2), 3)
-    spec = sf.CoactionSpec(sf.ControlledMap(table, table, [table.element_from_str(g) for g in "ab"]))
+    spec = sf.ControlledMap(table, table, [table.element_from_str(g) for g in "ab"])
     span, count = sf.qf_spanning_set(spec, [table.element_from_str("a.b")])
     assert {table.str_of(p) for p in span} == {"e", "a", "b", "a.b"} and count == 4
 
