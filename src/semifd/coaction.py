@@ -17,7 +17,6 @@ from .errors import InputError, InvariantError, LengthBoundError
 from .linrep import (
     SparseOperator,
     graded_basis,
-    identity_operator,
     lambda_op,
     partial_map,
     tensor_basis,
@@ -133,50 +132,51 @@ def _growth(phi: ControlledMap, L: int) -> int:
     return L * max(img.length for img in phi.gen_images)
 
 
-def fell_intertwiner_at(phi: ControlledMap, L_P: int, L_Q: int) -> SparseOperator:
-    """The isometry W: e_p (x) e_k -> e_p (x) e_{phi(p) k} on the truncation
-    with domain levels (L_P, L_Q); the second-leg codomain level grows by the
-    largest |phi(p)| over |p| <= L_P."""
+def _fell_rows(phi: ControlledMap, L_P: int, L_Q: int) -> tuple:
+    """Domain, codomain and row array of W at levels (L_P, L_Q): e_p (x) e_k goes to
+    e_p (x) e_{phi(p) k}, with one row of phi(p) k over the L_Q ball per distinct phi(p)."""
     growth = _growth(phi, L_P)
     if phi.target.L < L_Q + growth:
         raise LengthBoundError("target enumerated to %d, need %d" % (phi.target.L, L_Q + growth))
     bP, bQ = graded_basis(phi.source, L_P), graded_basis(phi.target, L_Q)
     bQ_cod = graded_basis(phi.target, L_Q + growth)
-    # one row of positions of phi(p) k, k in the L_Q ball, per distinct phi(p)
     images, inv = np.unique(phi.images[: bP.dim], return_inverse=True)
     prods = np.array([phi.target.left_products(phi.target.element(v), L_Q) for v in images.tolist()])
     rows = (np.arange(bP.dim)[:, None] * bQ_cod.dim + prods[inv]).ravel()
-    return partial_map(tensor_basis(bP, bQ), tensor_basis(bP, bQ_cod), rows)
+    return tensor_basis(bP, bQ), tensor_basis(bP, bQ_cod), rows
+
+
+def fell_intertwiner_at(phi: ControlledMap, L_P: int, L_Q: int) -> SparseOperator:
+    """The isometry W: e_p (x) e_k -> e_p (x) e_{phi(p) k} on the truncation
+    with domain levels (L_P, L_Q); the second-leg codomain level grows by the
+    largest |phi(p)| over |p| <= L_P."""
+    return partial_map(*_fell_rows(phi, L_P, L_Q))
 
 
 def fell_intertwiner(phi: ControlledMap, L_P: int, L_Q: int) -> tuple[SparseOperator, dict]:
-    """Build W at levels (L_P, L_Q) and certify, entrywise-exactly:
-    (i) W*W = identity, (ii) W(lambda_p (x) I) = (lambda_p (x) V_p)W for every
-    generator p, both sides built into the codomain of W at level L_P + 1."""
+    """Build W at levels (L_P, L_Q) and certify, exactly: (i) W*W = identity,
+    (ii) W(lambda_p (x) I) = (lambda_p (x) V_p)W for every generator p, both
+    sides into the codomain of W at level L_P + 1. All are partial maps, A e_c = e_{a[c]}
+    (a[c] = -1 if A e_c = 0), so (i) says w has no -1 and no repeated entry, and
+    (ii) equates the row arrays of the two composites."""
     W = fell_intertwiner_at(phi, L_P, L_Q)
-    report = {"L_P": L_P, "L_Q": L_Q}
-    if W.adjoint() @ W != identity_operator(W.domain):
+    w = np.full(W.domain.dim, -1)
+    w[W.indices] = W._rows()  # partial_map puts one 1 in each mapped column
+    if (w < 0).any() or np.bincount(w).max() > 1:
         raise InvariantError("Fell intertwiner is not an isometry")
-    report["isometry"] = "exact"
-
-    # lengths add in the target, so |phi(p)| + |phi(g)| <= growth_up
-    growth, growth_up = _growth(phi, L_P), _growth(phi, L_P + 1)
-    W_up = fell_intertwiner_at(phi, L_P + 1, L_Q)
-    shift_id = identity_operator(graded_basis(phi.target, L_Q))
-    intertwined = []
+    # lengths add in the target, so |phi(p)| + |phi(g)| is within W_up's growth
+    _, cod_up, w_up = _fell_rows(phi, L_P + 1, L_Q)
+    dim_Q, dim_Qc, dim_Qu = (b.factors[1].dim for b in (W.domain, W.codomain, cod_up))
     for g in range(len(phi.source.presentation.generators)):
         p = phi.source.element_from_word((g,))
-        vp = phi(p)
-        lam_p = lambda_op(phi.source, p, L_P)
-        # left side: shift first, then W at the deeper level
-        lhs = W_up @ lam_p.tensor(shift_id)
-        # right side: W first, then lambda_p (x) V_p
-        rhs = lam_p.tensor(lambda_op(phi.target, vp, L_Q + growth, L_cod=L_Q + growth_up)) @ W
-        if lhs != rhs:
+        lp = np.array(phi.source.left_products(p, L_P))
+        vp = np.array(phi.target.left_products(phi(p), L_Q + _growth(phi, L_P)))
+        lhs = w_up[(lp[:, None] * dim_Q + np.arange(dim_Q)).ravel()]  # e_x (x) e_k -> e_px (x) e_k, then W_up
+        rhs = lp[w // dim_Qc] * dim_Qu + vp[w % dim_Qc]  # W, then e_y (x) e_j -> e_py (x) e_{phi(p) j}
+        if not np.array_equal(lhs, rhs):
             raise InvariantError("Fell intertwining fails for generator %s" % phi.source.str_of(p))
-        intertwined.append(phi.source.presentation.generators[g])
-    report["intertwined_generators"] = intertwined
-    return W, report
+    generators = list(phi.source.presentation.generators)
+    return W, {"L_P": L_P, "L_Q": L_Q, "isometry": "exact", "intertwined_generators": generators}
 
 
 def qf_spanning_set(phi: ControlledMap, F) -> tuple[frozenset, int]:

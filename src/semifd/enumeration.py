@@ -14,7 +14,7 @@ canonical word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CancellativityError,
@@ -26,9 +26,9 @@ from .errors import (
 from .presentations import MonoidPresentation, Word
 
 
-@dataclass(frozen=True)
-class MonoidElement:
-    """A congruence class, identified by its shortlex-minimal word."""
+class MonoidElement(NamedTuple):
+    """A congruence class, identified by its shortlex-minimal word. A tuple
+    (index, word): equal and hashed as that pair, and immutable."""
 
     index: int
     word: Word
@@ -79,7 +79,9 @@ class EnumerationTable:
         return x
 
     def _enumerate(self):
-        ngen = len(self.presentation.generators)
+        ngen, new = len(self.presentation.generators), tuple.__new__  # builds elements at tuple cost
+        if self.L * ngen > self.max_words:  # every level holds g^n, so level L would refuse: refuse before it
+            raise ResourceLimitError("table entries exceeded cap %d at length %d" % (self.max_words, self.L))
         # relation u'a = v'b identifies (x.u', a) with (x.v', b)
         joins = [(u[:-1], u[-1], v[:-1], v[-1]) for u, v in self.presentation.relations if u != v]
         for n in range(1, self.L + 1):
@@ -103,7 +105,7 @@ class EnumerationTable:
                     p, g = divmod(i, ngen)
                     p += level.start
                     ids.append(len(self.elements))
-                    self.elements.append(MonoidElement(ids[i], self.elements[p].word + (g,)))
+                    self.elements.append(new(MonoidElement, (ids[i], self.elements[p].word + (g,))))
                     self._parent.append((p, g))
                 else:
                     ids.append(ids[r])

@@ -15,6 +15,8 @@ representation, sharing no code with the monomial norms, and
 ``scipy_algebra`` is the package's former scipy.sparse operator algebra and
 ``scipy_operator_norm`` its former norm routine, which formed the Gram matrix
 through a dense array or a scipy.sparse view of the operator.
+``operator_fell_check`` is the package's former Fell certificate, which
+composed the intertwiner with the shifts through the generic operator product.
 """
 
 from __future__ import annotations
@@ -306,3 +308,32 @@ def scipy_operator_norm(A, tol: float = 1e-9, max_words: int | None = None) -> f
     if not (width := float(np.sqrt(mu / theta)) - 1) <= tol:
         raise InvariantError("norm not certified: bracket width %.3e > tol %.3e" % (width, tol))
     return float(np.sqrt(theta))
+
+
+def operator_fell_check(phi, L_P: int, L_Q: int):
+    """The package's former ``fell_intertwiner``: W*W against the identity and
+    W_up (lambda_p (x) I) against (lambda_p (x) lambda_phi(p)) W as operators,
+    both products by ``SparseOperator.__matmul__``. Returns (W, report)."""
+    import semifd as sf
+    from semifd.coaction import fell_intertwiner_at
+    from semifd.errors import InvariantError
+
+    W = fell_intertwiner_at(phi, L_P, L_Q)
+    report = {"L_P": L_P, "L_Q": L_Q}
+    if W.adjoint() @ W != sf.identity_operator(W.domain):
+        raise InvariantError("Fell intertwiner is not an isometry")
+    report["isometry"] = "exact"
+    growth = max(img.length for img in phi.gen_images)  # |phi(p)| <= growth |p|
+    W_up = fell_intertwiner_at(phi, L_P + 1, L_Q)
+    shift_id = sf.identity_operator(sf.graded_basis(phi.target, L_Q))
+    intertwined = []
+    for g, name in enumerate(phi.source.presentation.generators):
+        p = phi.source.element_from_word((g,))
+        lam_p = sf.lambda_op(phi.source, p, L_P)
+        lhs = W_up @ lam_p.tensor(shift_id)
+        V_p = sf.lambda_op(phi.target, phi(p), L_Q + growth * L_P, L_cod=L_Q + growth * (L_P + 1))
+        if lhs != lam_p.tensor(V_p) @ W:
+            raise InvariantError("Fell intertwining fails for generator %s" % phi.source.str_of(p))
+        intertwined.append(name)
+    report["intertwined_generators"] = intertwined
+    return W, report

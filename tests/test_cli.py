@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -460,6 +461,48 @@ def test_covariance_needs_coefficients_up_to_D_only(tmp_path, capsys):
     assert status == 0, err
     (check,) = [c for c in report["checks"] if c["name"] == "circle-covariance"]
     assert check == {"name": "circle-covariance", "status": "pass", "witness": "within 1e-12"}
+
+
+def test_covariance_bound_is_relative_to_the_compression(tmp_path, capsys, monkeypatch):
+    # phi = 1e5 (1 + z): G*MG and the rotated compression differ by 1.5e-11, a relative 7e-17
+    config = {"command": "funcalg", "kernel": "hardy", "phi": [{"exponents": [n], "re": 1e5} for n in (0, 1)], "D": 8}
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 0, err
+    (check,) = [c for c in report["checks"] if c["name"] == "circle-covariance"]
+    assert check == {"name": "circle-covariance", "status": "pass", "witness": "within 1e-12"}
+    # a rotation off by a relative 1e-10 still fails at that scale
+    rotate = funcalg.circle_action
+    monkeypatch.setattr(funcalg, "circle_action", lambda phi, zeta: rotate(phi, zeta).scale(1 + 1e-10))
+    status, report, err = run(tmp_path, capsys, config)
+    (check,) = [c for c in report["checks"] if c["name"] == "circle-covariance"]
+    assert status == 1 and check["status"] == "fail" and check["witness"].startswith("covariance violated at 8th root 0")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "fdapprox", "presentation": {"builtin": "nat", "d": 1}, "F": [30_000_000], "L": 1},
+        {"command": "fdapprox", "presentation": {"builtin": "nat", "d": 1}, "F": [10**12], "L": 1},
+        {"command": "coaction", "presentation": {"builtin": "nat", "d": 1}, "F": [10**12]},
+        {"command": "enumerate", "presentation": {"builtin": "nat", "d": 1}, "L": 30_000_000},
+    ],
+    ids=["fdapprox-F-3e7", "fdapprox-F-1e12", "coaction-F-1e12", "enumerate-L-3e7"],
+)
+def test_caps_trip_before_allocation(config):
+    # each of these once allocated gigabytes before exit 3 was due; in a child whose
+    # address space is capped at 1.5 GB a late cap ends in MemoryError or the timeout
+    limit = 1536 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "semifd.cli", "--config", "-"],
+        input=json.dumps(config),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr[-500:]
+    assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

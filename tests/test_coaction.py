@@ -1,9 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semifd as sf
+from semifd import coaction
+
+from oracles import operator_fell_check
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +258,91 @@ def test_qf_spanning_monotone(braid_length_spec):
     small, _ = sf.qf_spanning_set(spec, [spec.target.element_from_word((0,))])
     big, _ = sf.qf_spanning_set(spec, [spec.target.element_from_word((0, 0, 0))])
     assert small <= big
+
+
+# -- the Fell certificate against the operator-product oracle ------------------------
+
+_FELL_CASES = [
+    (kind, params, kind_map)
+    for kind, params in [
+        ("free", {"n": 2}),
+        ("nat", {"d": 1}),
+        ("nat", {"d": 2}),
+        ("braid", {"n": 3}),
+        ("raag", {"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}),
+    ]
+    for kind_map in ("length", "abelianization", "powers")
+    if kind != "braid" or kind_map == "length"  # braid relations do not hold in N^d
+]
+
+
+def _fell_map(kind, params, kind_map, L_P, L_Q):
+    """A controlled map from the builtin presentation onto N (length) or N^d:
+    abelianization sends generator g to x_g, powers to x_g^(g+1)."""
+    pres = sf.builtin(kind, **params)
+    d = len(pres.generators)
+    source = sf.enumerate_monoid(pres, L_P + 1)
+    target_pres = sf.free(1) if kind_map == "length" else sf.nat(d)
+    growth_up = (L_P + 1) * (d if kind_map == "powers" else 1)
+    target = sf.enumerate_monoid(target_pres, L_Q + max(growth_up, 3 * d))  # relation images fit too
+    if kind_map == "length":
+        return sf.length_map(source, target)
+    return sf.ControlledMap(source, target, [
+        target.element_from_word((g,) * (g + 1 if kind_map == "powers" else 1)) for g in range(d)
+    ])
+
+
+def _fell_verdict(check, phi, L_P, L_Q):
+    try:
+        return check(phi, L_P, L_Q)
+    except sf.InvariantError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(_FELL_CASES), st.integers(0, 3), st.integers(0, 3))
+def test_fell_certificate_matches_operator_oracle(case, L_P, L_Q):
+    phi = _fell_map(*case, L_P, L_Q)
+    verdict = _fell_verdict(sf.fell_intertwiner, phi, L_P, L_Q)
+    assert verdict == _fell_verdict(operator_fell_check, phi, L_P, L_Q)
+    _, report = verdict  # every map here is a homomorphism, so both certify its W
+    assert report["isometry"] == "exact"
+    assert report["intertwined_generators"] == list(phi.source.presentation.generators)
+
+
+def _merge_two_columns(rows_fn):
+    """W sends columns 0 and 1 to one row."""
+    def broken(phi, L_P, L_Q):
+        dom, cod, rows = rows_fn(phi, L_P, L_Q)
+        rows = rows.copy()
+        rows[1] = rows[0]
+        return dom, cod, rows
+    return broken
+
+
+def _wrong_image(rows_fn):
+    """W is built from phi(p) = e for the last p of the L_P ball, |p| = L_P."""
+    def broken(phi, L_P, L_Q):
+        bad = copy.copy(phi)
+        bad.images = list(phi.images)
+        bad.images[len(phi.source.elements_up_to(L_P)) - 1] = 0
+        return rows_fn(bad, L_P, L_Q)
+    return broken
+
+
+@pytest.mark.parametrize("case", _FELL_CASES[::2], ids=lambda c: "%s-%s" % (c[0], c[2]))
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (_merge_two_columns, "Fell intertwiner is not an isometry"),
+        (_wrong_image, "Fell intertwining fails for generator %s"),
+    ],
+    ids=["two-columns-one-row", "wrong-image"],
+)
+def test_broken_intertwiner_is_rejected_by_both_checks(monkeypatch, case, breakage, message):
+    phi = _fell_map(*case, 2, 2)
+    if "%s" in message:  # the first generator already sees the wrong image
+        message %= phi.source.presentation.generators[0]
+    monkeypatch.setattr(coaction, "_fell_rows", breakage(coaction._fell_rows))
+    assert _fell_verdict(sf.fell_intertwiner, phi, 2, 2) == message
+    assert _fell_verdict(operator_fell_check, phi, 2, 2) == message

@@ -329,3 +329,29 @@ def test_controlled_map_is_homomorphism(braid3, nat1):
     for x in braid3.elements_up_to(3):
         for y in braid3.elements_up_to(3):
             assert phi(braid3.multiply(x, y)) == nat1.multiply(phi(x), phi(y))
+
+
+def test_monoid_element_is_an_immutable_index_word_pair(braid3):
+    e = sf.MonoidElement(0, ())
+    assert (e.index, e.word, e.length) == (0, (), 0) and e == braid3.identity
+    ball = braid3.elements_up_to(3)
+    copies = [sf.MonoidElement(x.index, x.word) for x in ball]
+    for x, cx in zip(ball, copies):
+        assert x == cx and hash(x) == hash(cx) and x.length == len(x.word)
+        for y in ball[:8]:
+            assert (x == y) == ((x.index, x.word) == (y.index, y.word))
+    assert sf.MonoidElement(1, (0,)) != sf.MonoidElement(1, (1,)) != sf.MonoidElement(2, (1,))
+    assert len(set(ball) | set(copies)) == len(ball)
+    for attribute in ("index", "word", "length", "label"):
+        with pytest.raises(AttributeError):
+            setattr(ball[1], attribute, 0)
+
+
+def test_algebra_element_coefficients_keyed_by_elements(braid3):
+    s1, s2 = braid3.element_from_str("s1"), braid3.element_from_str("s2")
+    a = sf.AlgebraElement(braid3, {s1: 2.0, s2: 1.0})
+    b = sf.AlgebraElement(braid3, {sf.MonoidElement(s1.index, s1.word): -2.0, braid3.identity: 3.0})
+    total = a + b  # an equal copy of s1 is the same key, so the two s1 terms cancel
+    assert total.coeffs == {s2: 1.0, braid3.identity: 3.0} and total.support == [braid3.identity, s2]
+    assert total == sf.AlgebraElement(braid3, {sf.MonoidElement(s2.index, s2.word): 1.0, braid3.identity: 3.0})
+    assert (a * a).coeffs[braid3.element_from_str("s1.s2")] == 2.0
