@@ -22,16 +22,34 @@ from .enumeration import abelianization, enumerate_monoid, length_map
 from .errors import InputError, InvariantError, ResourceLimitError
 from .funcalg import KernelSpec, Polynomial
 from .linrep import operator_norm
-from .presentations import MonoidPresentation, builtin, free, nat, parse_presentation
+from .presentations import MonoidPresentation, builtin, free, parse_presentation
 
 
-def _load_presentation(cfg) -> MonoidPresentation:
+def _builtin(kind, params: dict, max_words: int) -> MonoidPresentation:
+    """builtin(kind, **params), refused before it is built when its generators plus
+    relation letters exceed max_words: free(n) has n generators, nat(d) d and C(d, 2)
+    commutations of 4 letters, braid(n) n - 1, n - 2 braid relations of 6 letters and
+    C(n - 2, 2) commutations of 4. Other sizes are small, or refused by builtin."""
+    n, words = params.get("d" if kind == "nat" else "n"), 0
+    if _is_count(n) and n >= 2:
+        if kind == "free":
+            words = n
+        elif kind == "nat":
+            words = n + 4 * math.comb(n, 2)
+        elif kind == "braid":
+            words = n - 1 + 6 * (n - 2) + 4 * math.comb(n - 2, 2)
+    if words > max_words:
+        raise ResourceLimitError("presentation %s(%s) of %d words exceeds cap %d" % (kind, n, words, max_words))
+    return builtin(kind, **params)
+
+
+def _load_presentation(cfg, max_words: int) -> MonoidPresentation:
     if not isinstance(cfg, dict):
         raise InputError('"presentation" must be an object')
     if "builtin" in cfg:
         params = {k: v for k, v in cfg.items() if k != "builtin"}
         try:
-            return builtin(cfg["builtin"], **params)
+            return _builtin(cfg["builtin"], params, max_words)
         except (KeyError, TypeError, ValueError) as exc:  # a missing, mistyped or misshapen parameter
             raise InputError("bad builtin presentation: %s" % exc)
     if "path" in cfg:
@@ -123,7 +141,7 @@ class CheckRunner:
 
 
 def _cmd_enumerate(cfg, max_words):
-    pres = _load_presentation(cfg.get("presentation"))
+    pres = _load_presentation(cfg.get("presentation"), max_words)
     L = _count(cfg, "L", 8)
     table = enumerate_monoid(pres, L, max_words=max_words)
     runner = CheckRunner()
@@ -133,7 +151,7 @@ def _cmd_enumerate(cfg, max_words):
 
 
 def _cmd_divisors(cfg, max_words):
-    pres = _load_presentation(cfg.get("presentation"))
+    pres = _load_presentation(cfg.get("presentation"), max_words)
     L = _count(cfg, "L", 4)
     table = enumerate_monoid(pres, L, max_words=max_words)
     runner = CheckRunner()
@@ -148,12 +166,13 @@ def _cmd_divisors(cfg, max_words):
         return "all equal"
 
     def nesting():
-        for p in ball:
-            Rp = R[p.index]
-            bad = [r for r in Rp if not R[r] <= Rp]
-            if bad:
-                r = table.element(min(bad))
-                raise InvariantError("R_r not inside R_p for r=%s, p=%s" % (table.str_of(r), table.str_of(p)))
+        # r in R_p for every p = q.r off the walk from q; filled from left predecessors' sets, R_p is then nested
+        walks = (table.left_products(q, L - q.length) for q in ball)
+        missing = [(p, r) for qr in walks for r, p in enumerate(qr) if r not in R[p]]
+        if missing:
+            p, r = min(missing)  # the least p with its least missing r, unless an r of R_p has R_r outside
+            r = min((x for x in R[p] if not R[x] <= R[p]), default=r)
+            raise InvariantError("R_r not inside R_p for r=%s, p=%s" % (sizes[r][0], sizes[p][0]))  # words by index
         return "nested"
 
     runner.run("divisor-bijection", bijection)
@@ -162,7 +181,7 @@ def _cmd_divisors(cfg, max_words):
 
 
 def _cmd_fdapprox(cfg, max_words, norm_tol):
-    pres = _load_presentation(cfg.get("presentation"))
+    pres = _load_presentation(cfg.get("presentation"), max_words)
     L = _count(cfg, "L", 5)
     if not isinstance(cfg.get("F"), list) or not cfg["F"]:
         raise InputError('"F" must be a nonempty list')
@@ -194,13 +213,13 @@ def _cmd_fdapprox(cfg, max_words, norm_tol):
 
 
 def _cmd_coaction(cfg, max_words):
-    pres = _load_presentation(cfg.get("presentation"))
+    pres = _load_presentation(cfg.get("presentation"), max_words)
     L_P = _count(cfg, "L_P", 3)
     L_Q = _count(cfg, "L_Q", 4)
     map_kind = cfg.get("map", "length")
     if map_kind not in ("length", "abelianization"):
         raise InputError('"map" must be "length" or "abelianization"')
-    target_pres = free(1) if map_kind == "length" else nat(len(pres.generators))
+    target_pres = free(1) if map_kind == "length" else _builtin("nat", {"d": len(pres.generators)}, max_words)
     words = _F_words(target_pres, cfg.get("F", []), max_words)
     src_bound = max(L_P + 1, *map(len, words), 2)
     source = enumerate_monoid(pres, src_bound, max_words=max_words)
@@ -335,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
     parser.add_argument(
         "--max-words", type=int, default=10**6, dest="max_words",
-        help="cap on monoid table entries and Fock-basis dimension",
+        help="cap on monoid table entries, builtin presentation size and Fock-basis dimension",
     )
     parser.add_argument("--norm-tol", type=float, default=1e-9, dest="norm_tol")
     parser.add_argument(

@@ -49,12 +49,11 @@ class EnumerationTable:
     """All monoid elements of length <= L, with exact multiplication.
 
     Immutable after construction; every query is pure. Elements are indexed
-    in (length, shortlex) order. The right and left Cayley graphs x -> x.g
-    and x -> g.x (for |x| < L) are stored, with the spanning tree of the
-    first: _parent[x] = (p, g) where canon(x) = canon(p).g. Products walk the
-    right graph, products over a ball follow the tree, and divisor sets and
-    witnesses are read off both graphs. Divisor sets are sets of indices,
-    filled on demand level by level.
+    in (length, shortlex) order. The right Cayley graph x -> x.g (for
+    |x| < L) is stored with its spanning tree: _parent[x] = (p, g) where
+    canon(x) = canon(p).g. Products walk the graph; `left_products` (the
+    walk) lists v.x over a ball along the tree, and every g.x comes from it.
+    Divisor sets are sets of indices, filled on demand level by level.
     """
 
     def __init__(self, presentation: MonoidPresentation, L: int, max_words: int = 10**6):
@@ -66,7 +65,6 @@ class EnumerationTable:
         self.elements: list[MonoidElement] = [MonoidElement(0, ())]
         self.by_length: list[range] = [range(1)]
         self._right: list[tuple[int, ...]] = []  # _right[x][g] = x.g
-        self._left: list[tuple[int, ...]] = []  # _left[x][g] = g.x
         self._parent: list[tuple[int, int]] = [(0, 0)]  # (p, g) with canon(x) = canon(p).g
         self._divisor_sets: tuple[list, list] = ([frozenset((0,))], [frozenset((0,))])  # R_p, L_p
         self._enumerate()
@@ -111,8 +109,6 @@ class EnumerationTable:
                     ids.append(ids[r])
             self.by_length.append(range(level.stop, len(self.elements)))
             self._right.extend(tuple(ids[k : k + ngen]) for k in range(0, len(ids), ngen))
-        gens = map(self.element, self._right[0] if self._right else ())
-        self._left = list(zip(*(self.left_products(g, self.L - 1) for g in gens)))
 
     # -- identity and lookup ------------------------------------------------
 
@@ -178,7 +174,9 @@ class EnumerationTable:
         x.g = p for L_p. The list is the table's cache: read, never mutate."""
         if not 0 <= n <= self.L:
             raise LengthBoundError("requested level %d outside 0..%d" % (n, self.L))
-        sets, graph = self._divisor_sets[left], self._right if left else self._left
+        sets, graph = self._divisor_sets[left], self._right
+        if not left and len(sets) < self.by_length[n].stop:  # g.x for |x| < n, off the walk
+            graph = list(zip(*(self.left_products(self.elements[g], n - 1) for g in self._right[0])))
         while len(sets) < self.by_length[n].stop:
             m = self.elements[len(sets)].length
             level = self.by_length[m]
@@ -217,9 +215,11 @@ class EnumerationTable:
         decidable from a presentation in general; a failure here aborts
         downstream constructions.
         """
-        for side, graph in (("left", self._left), ("right", self._right)):
-            for g, name in enumerate(self.presentation.generators):
-                images = [row[g] for row in graph]
+        gens = self._right[0] if self._right else ()  # generator indices; none when L = 0
+        lefts = (self.left_products(self.elements[x], self.L - 1) for x in gens)  # g.y, off the walk
+        rights = ([row[g] for row in self._right] for g in range(len(gens)))
+        for side, images_by_g in (("left", lefts), ("right", rights)):
+            for name, images in zip(self.presentation.generators, images_by_g):
                 if len(set(images)) != len(images):
                     raise CancellativityError("%s cancellation fails at g=%s" % (side, name))
 

@@ -16,7 +16,9 @@ representation, sharing no code with the monomial norms, and
 ``scipy_operator_norm`` its former norm routine, which formed the Gram matrix
 through a dense array or a scipy.sparse view of the operator.
 ``operator_fell_check`` is the package's former Fell certificate, which
-composed the intertwiner with the shifts through the generic operator product.
+composed the intertwiner with the shifts through the generic operator product,
+and ``pairwise_nesting`` the former ``divisor-nesting`` check, one subset test
+per pair (p, r in R_p).
 """
 
 from __future__ import annotations
@@ -112,6 +114,16 @@ def table_divisors(table, p) -> tuple[set, set]:
                 rights.add(r)
                 lefts.add(q)
     return rights, lefts
+
+
+def pairwise_nesting(table, R, L: int):
+    """The first (p, r) with r in R_p but R_r not inside R_p, over p of length at
+    most L in index order and the least such r, or None when the sets are nested."""
+    for p in range(table.by_length[L].stop):
+        bad = [r for r in R[p] if not R[r] <= R[p]]
+        if bad:
+            return p, min(bad)
+    return None
 
 
 def word_image(phi, p):

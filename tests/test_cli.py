@@ -14,9 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import semifd as sf
-from semifd import cli, funcalg, linrep
+from semifd import cli, fdapprox, funcalg, linrep
 from semifd.cli import main
 from semifd.enumeration import EnumerationTable
+
+from oracles import pairwise_nesting
 
 
 def write_config(tmp_path, config):
@@ -205,18 +207,21 @@ def test_successive_calls_do_not_leak_options(tmp_path, capsys):
     [
         ("right", {"divisor-bijection": "|R_p| != |L_p| at p=a.b.b", "divisor-nesting": "R_r not inside R_p for r=b, p=a.b.b"}),
         ("left", {"divisor-bijection": "|R_p| != |L_p| at p=a.b.b"}),
+        # nested but incomplete: the factorization e = e.e is missing from R_e
+        ("right-all", {"divisor-bijection": "|R_p| != |L_p| at p=e", "divisor-nesting": "R_r not inside R_p for r=e, p=e"}),
     ],
 )
 def test_broken_divisor_set_fails_with_one_line_witness(tmp_path, capsys, monkeypatch, broken_side, witnesses):
-    # drop the identity from R_p (or L_p) of p = a.b.b: the checks name p, and
-    # the nesting witness is the first r of R_p whose R_r is not inside
+    # drop the identity from R_p (or L_p) of p = a.b.b, or from every R_p: the checks
+    # name p, and the nesting witness is the first r of R_p whose R_r is not inside,
+    # else the r of a factorization p = q.r missing from R_p
     real = EnumerationTable.divisor_sets
 
     def dropped(self, n, left=False):
         sets = list(real(self, n, left))
         if left == (broken_side == "left"):
-            p = self.element_from_str("a.b.b").index
-            sets[p] = sets[p] - {0}
+            for p in range(len(sets)) if broken_side == "right-all" else [self.element_from_str("a.b.b").index]:
+                sets[p] = sets[p] - {0}
         return sets
 
     monkeypatch.setattr(EnumerationTable, "divisor_sets", dropped)
@@ -224,6 +229,31 @@ def test_broken_divisor_set_fails_with_one_line_witness(tmp_path, capsys, monkey
     status, report, err = run(tmp_path, capsys, config)
     assert status == 1 and err == ""
     assert {c["name"]: c["witness"] for c in report["checks"] if c["status"] == "fail"} == witnesses
+    if broken_side == "right-all":  # nested, so the former pairwise check passes it
+        table = sf.enumerate_monoid(sf.free(2), 3)
+        assert pairwise_nesting(table, table.divisor_sets(3), 3) is None
+
+
+def test_coinvariance_fails_with_one_line_witness(tmp_path, capsys, monkeypatch):
+    # Y_F for F = {a.b} in free(2) is span{e, b, a.b}; without b it is not closed
+    # under right divisors, and the witness names b and the element it divides
+    real = fdapprox.build_Y
+
+    def holed(table, F):
+        sub = real(table, F)
+        labels = tuple(i for i in sub.basis.labels if i != table.element_from_str("b").index)
+        return sf.DivisorSubspace(table, sub.F, sf.Basis(sub.basis.tag, labels))
+
+    monkeypatch.setattr(fdapprox, "build_Y", holed)
+    config = {"command": "fdapprox", "presentation": {"builtin": "free", "n": 2}, "F": ["a.b"], "L": 2}
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 1 and err == ""
+    (check,) = [c for c in report["checks"] if c["name"] == "coinvariance"]
+    assert check == {
+        "name": "coinvariance",
+        "status": "fail",
+        "witness": "coinvariance broken: right divisor b of a.b is not in Y_F",
+    }
 
 
 def test_stdin_config(tmp_path, capsys, monkeypatch):
@@ -485,8 +515,16 @@ def test_covariance_bound_is_relative_to_the_compression(tmp_path, capsys, monke
         {"command": "fdapprox", "presentation": {"builtin": "nat", "d": 1}, "F": [10**12], "L": 1},
         {"command": "coaction", "presentation": {"builtin": "nat", "d": 1}, "F": [10**12]},
         {"command": "enumerate", "presentation": {"builtin": "nat", "d": 1}, "L": 30_000_000},
+        # presentations whose generators plus relation letters exceed the cap
+        {"command": "enumerate", "presentation": {"builtin": "nat", "d": 3000}, "L": 2},
+        {"command": "enumerate", "presentation": {"builtin": "free", "n": 12_000_000}, "L": 1},
+        {"command": "enumerate", "presentation": {"builtin": "braid", "n": 3000}, "L": 2},
+        {"command": "coaction", "map": "abelianization", "presentation": {"generators": ["g%d" % i for i in range(3000)]}},
     ],
-    ids=["fdapprox-F-3e7", "fdapprox-F-1e12", "coaction-F-1e12", "enumerate-L-3e7"],
+    ids=[
+        "fdapprox-F-3e7", "fdapprox-F-1e12", "coaction-F-1e12", "enumerate-L-3e7",
+        "enumerate-nat-3000", "enumerate-free-1.2e7", "enumerate-braid-3000", "coaction-abelianization-3000",
+    ],
 )
 def test_caps_trip_before_allocation(config):
     # each of these once allocated gigabytes before exit 3 was due; in a child whose
@@ -522,12 +560,12 @@ def test_non_finite_values_fail_their_check(tmp_path, capsys, kernel, phi, D, ch
     with warnings.catch_warnings():  # overflow stays silent: stderr holds no RuntimeWarning lines
         warnings.simplefilter("error", RuntimeWarning)
         status, report, err = run(tmp_path, capsys, {"command": "funcalg", "kernel": kernel, "phi": terms, "D": D})
-    assert status in (0, 1) and "Traceback" not in err
+    assert "Traceback" not in err
     (got,) = [c for c in report["checks"] if c["name"] == check]
     if isinstance(witness, str):
         assert status == 1 and got == {"name": check, "status": "fail", "witness": witness}
-    else:
-        assert got["status"] == "pass" and got["witness"]["norm_lower"] == pytest.approx(witness, rel=1e-11)
+    else:  # every check passes
+        assert status == 0 and got["status"] == "pass" and got["witness"]["norm_lower"] == pytest.approx(witness, rel=1e-11)
 
 
 def test_tiny_symbol_is_certified(tmp_path, capsys):

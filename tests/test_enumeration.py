@@ -11,6 +11,7 @@ from oracles import (
     brute_counts,
     brute_left_divisors,
     brute_right_divisors,
+    pairwise_nesting,
     table_associative,
     table_cancellative,
     table_divisors,
@@ -167,7 +168,7 @@ def test_cayley_graph_reads_match_table_oracles(pres, L):
     table.check_cancellation()
     table.check_associativity()
     assert table_cancellative(table) and table_associative(table)
-    # products over a ball follow the spanning tree; the left graph is their transpose
+    # products over a ball follow the spanning tree
     for v in table.elements:
         for k in range(-1, L - v.length + 1):
             ball = table.elements_up_to(k) if k >= 0 else []
@@ -175,8 +176,6 @@ def test_cayley_graph_reads_match_table_oracles(pres, L):
         with pytest.raises(sf.LengthBoundError):
             table.left_products(v, L - v.length + 1)
     ngen = len(pres.generators)
-    gens = [table.element_from_word((g,)) for g in range(ngen)]
-    assert table._left == [tuple(table.multiply(g, x).index for g in gens) for x in table.elements_up_to(L - 1)]
     # phi along the tree against the per-letter image; a short target raises past its bound
     line, short = sf.enumerate_monoid(sf.nat(1), ngen * L), sf.enumerate_monoid(sf.nat(1), L - 1)
     maps = [sf.length_map(table, line), sf.length_map(table, short)]
@@ -244,11 +243,10 @@ def test_divisor_bijection_everywhere(braid3):
         assert len(braid3.right_divisors(p)) == len(braid3.left_divisors(p))
 
 
-def test_divisor_nesting(braid3):
-    for p in braid3.elements_up_to(4):
-        Rp = braid3.right_divisors(p)
-        for r in Rp:
-            assert braid3.right_divisors(r) <= Rp
+def test_divisor_nesting():
+    for pres, L in ORACLE_TABLES:
+        table = sf.enumerate_monoid(pres, L)
+        assert pairwise_nesting(table, table.divisor_sets(L), L) is None, pres.kind
 
 
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=6))
