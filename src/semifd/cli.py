@@ -21,7 +21,7 @@ from . import fdapprox, funcalg
 from .enumeration import abelianization, enumerate_monoid, length_map
 from .errors import InputError, InvariantError, ResourceLimitError
 from .funcalg import KernelSpec, Polynomial
-from .linrep import operator_norm
+from .linrep import Basis, _csr, operator_norm
 from .presentations import MonoidPresentation, builtin, free, parse_presentation
 
 
@@ -264,7 +264,13 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
 
     def norm_ladder():
         ladder = sorted({D // 4 or D, D // 2 or D, D})  # no rung above D
-        values = [funcalg.multiplier_norm_lower(kernel, phi, dd, norm_tol, max_words) for dd in ladder]
+        top = funcalg.fock_basis(kernel, D)  # ordered by degree: each rung's compression is a leading block
+        M, values = funcalg.multiplication(kernel, phi, top, top), []
+        for k in (math.comb(dd + kernel.d, kernel.d) for dd in ladder):
+            keep, basis = M.indices[: M.indptr[k]] < k, Basis(top.tag, top.labels[:k])
+            indptr = np.append(0, keep.cumsum())[M.indptr[: k + 1]]  # kept entries before each row
+            block = _csr(basis, basis, indptr, M.indices[: len(keep)][keep], M.data[: len(keep)][keep])
+            values.append(operator_norm(block, norm_tol, max_words))
         for lo, hi in zip(values, values[1:]):
             if not lo <= hi + 1e-10:  # NaN fails
                 raise InvariantError("compression norms decreased along %r" % (ladder,))

@@ -278,61 +278,95 @@ def _band(kd: int, n: int, dtype) -> np.ndarray:
     return np.zeros((kd + 1, n), dtype=dtype, order="F")
 
 
+def _rcm(G: SparseOperator) -> np.ndarray:
+    """Reverse Cuthill-McKee order (1969) of a symmetric pattern, as the new position of each index."""
+    deg = np.diff(G.indptr)
+    ind, ptr = G.indices[np.lexsort((deg[G.indices], G._rows()))].tolist(), G.indptr.tolist()
+    order, seen, i = [], bytearray(len(deg)), 0
+    for seed in np.argsort(deg, kind="stable").tolist():
+        order += [] if seen[seed] else [seed]  # the least-degree node of a new component
+        seen[seed] = 1
+        while i < len(order):  # the queue is the tail of order
+            p, i = order[i], i + 1
+            for j in ind[ptr[p] : ptr[p + 1]]:  # its new neighbours, by degree
+                if not seen[j]:
+                    seen[j] = 1
+                    order.append(j)
+    return np.argsort(order[::-1])
+
+
+def _shift_search(factor, solve, s: float, v: np.ndarray, limit: int = 24) -> tuple[float, np.ndarray]:
+    """Shifts s from Gershgorin's bound down to lambda_max(G) (Parlett). A refused Cholesky factor(s) of s I - G makes
+    s a lower end lo; a factored s is an upper end hi, and three solves x = (sI - G)^-1 v, |v| = 1, give lower ends
+    s - 1/|x|. Returns the first factored s <= lo (1 + 2e-12), and v after its solves."""
+    lo, hi, v, step = 0.0, s * (1 + 2e-12), v / np.linalg.norm(v), 0.0
+    for _ in range(limit):
+        if not factor(s):
+            lo, step = s, 4 * step  # refused after settled lower ends: a cluster they did not resolve
+            s = min(lo * (1 + step), (lo + hi) / 2) if step else (lo + hi) / 2
+            continue
+        hi, bounds = s, []
+        for _ in range(3):
+            bounds.append(s - 1 / (nx := np.linalg.norm(x := solve(v))))
+            v = x / nx
+        if hi <= (lo := max(lo, *bounds)) * (1 + 2e-12):
+            return s, v
+        step = 1e-12 if bounds[2] - bounds[1] <= 1e-13 * lo else 0.0  # settled, or not yet
+        s = lo * (1 + step) if step else lo + (hi - lo) / 3
+    raise InvariantError("norm not certified: shift search did not settle in %d factorizations" % limit)
+
+
 def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = None) -> float:
     """Largest singular value of A as sqrt(theta), rounded, with theta <= lambda_max(A*A) <= mu certified.
 
-    theta0 ~ lambda_max(G), G = A.adjoint() @ A (real for real A), is estimated by dense eigvalsh (n <= 64),
-    eig_banded (half-bandwidth kd <= 8) or ARPACK eigsh. A Cholesky of mu0 I - G, mu0 = theta0 (1 + 1e-12),
-    that runs to completion in band storage gives mu: mu0, Rump's pad (BIT 46, 2006, kd + 2 for n + 1; the
-    lesser of tr and (2kd + 1) max diag) and G's rounding. Inverse iteration with that factor gives v; theta
-    is |Av|^2 / |v|^2 in extended precision less its rounding bound. A finite A is first scaled exactly by
-    2^-e, which puts its largest real or imaginary part in [1/2, 1), and the result by 2^e, so G stays in
-    the normal range. InvariantError if G has a non-finite entry, the Cholesky fails or sqrt(mu / theta) - 1 > tol;
-    ResourceLimitError first if (kd + 1) n > max_words.
+    G = A.adjoint() @ A (real for real A). For n <= 64, mu0 = theta0 (1 + 1e-12), theta0 from dense eigvalsh;
+    above, mu0 comes from _shift_search on G's band, in reverse Cuthill-McKee order when that narrows it. The
+    Cholesky of mu0 I - G (LAPACK pbtrf) that runs to completion gives mu: mu0, Rump's pad (BIT 46, 2006, kd + 2
+    for n + 1; the lesser of tr and (2kd + 1) max diag) and G's rounding. Inverse iteration with that factor
+    gives v; theta is |Av|^2 / |v|^2 on A's arrays in extended precision less its rounding bound. A finite A is
+    first scaled exactly by 2^-e, which puts its largest real or imaginary part in [1/2, 1), and the result by
+    2^e, so G stays in the normal range. InvariantError if G has a non-finite entry, no Cholesky succeeds or
+    sqrt(mu / theta) - 1 > tol; ResourceLimitError first if (kd + 1) n > max_words, kd of the ordered band.
     """
     if A.is_zero():
         return 0.0
     parts = A.data.view(float)  # complex128 as (re, im) pairs
     e = int(np.frexp(abs(parts).max())[1]) if np.isfinite(parts).all() else 0
     A = _csr(A.domain, A.codomain, A.indptr, A.indices, np.ldexp(parts, -e).view(complex))
-    from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded  # scipy loads with the first norm
+    from scipy.linalg import get_lapack_funcs  # scipy loads with the first norm
     n, m, rows, cols, real = A.domain.dim, A.codomain.dim, A._rows(), A.indices, not A.data.imag.any()
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is refused below
         G, v = A.adjoint() @ A, np.random.default_rng(0).standard_normal(n)
-    g_rows, g_cols, gram = G._rows(), G.indices, G.data.real if real else G.data
+    g_rows, g_cols, gram, at = G._rows(), G.indices, G.data.real if real else G.data, None
     kd = int(abs(g_rows - g_cols).max())
+    if n > 64 and 2 * kd > np.bincount(g_rows[g_rows != g_cols], minlength=1).max() + 1:  # kd > ceil(r / 2)
+        new = _rcm(G)
+        if (narrow := int(abs(new[g_rows] - new[g_cols]).max())) < kd:
+            g_rows, g_cols, kd, at = new[g_rows], new[g_cols], narrow, new
     if max_words is not None and (kd + 1) * n > max_words:
         raise ResourceLimitError("Gram band of %d x %d words exceeds cap %d" % (kd + 1, n, max_words))
     band, low = _band(kd, n, gram.dtype), g_rows >= g_cols
     band[g_rows[low] - g_cols[low], g_cols[low]] = gram[low]
     if not np.isfinite(band).all():
         raise InvariantError("norm not certified: A*A has a non-finite entry")
-    if n <= 64:
-        theta0 = np.linalg.eigvalsh(G.to_dense().real if real else G.to_dense())[-1]
-    elif kd <= 8:
-        theta0 = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(n - 1, n - 1))[0]
-    else:
-        from scipy.sparse import csr_array, linalg  # with ARPACK a 0.2-s import, for d >= 2 only
-        G = csr_array((gram, g_cols, G.indptr), shape=(n, n))
-        try:
-            theta0 = linalg.eigsh(G, k=1, which="LA", return_eigenvectors=False, v0=v)[0]
-        except linalg.ArpackNoConvergence:
-            raise InvariantError("norm not certified: Lanczos did not converge")
-    band *= -1
-    band[0] += (mu0 := theta0 * (1 + 1e-12))
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+    chol, e0 = np.empty_like(band), np.eye(kd + 1, 1)  # the one factor, of s I - G = s e0 - band each time
+    factor = lambda s: pbtrf(np.subtract(s * e0, band, out=chol), lower=1, overwrite_ab=1)[1] == 0  # noqa: E731
+    solve = lambda x: pbtrs(chol, x, lower=1)[0]  # noqa: E731
+    if n > 64:
+        mu0, v = _shift_search(factor, solve, np.bincount(g_rows, abs(gram), n).max(), v)
+    elif not factor(mu0 := np.linalg.eigvalsh(G.to_dense().real if real else G.to_dense())[-1] * (1 + 1e-12)):
+        raise InvariantError("norm not certified: mu I - A*A is not definite at mu = %r" % np.ldexp(mu0, 2 * e))
     c, k2, ext = (1.0, 0, np.longdouble) if real else (2.0, 2, np.clongdouble)  # complex: 2 gamma_(k+2)
     gam = lambda k, u=2.0**-53: c * (k + k2) * u / (1 - c * (k + k2) * u)  # noqa: E731
-    diag, w = band[0].real, abs(A.data)  # |A|^T (|A| 1), each row summed as csr_matvec sums it
+    diag, w = mu0 - band[0].real, abs(A.data)  # |A|^T (|A| 1), each row summed as csr_matvec sums it
     gram_err = gam(np.bincount(cols).max()) * _row_sums(cols, w * _row_sums(rows, w, m)[rows], n).max()
     mu = mu0 * (1 + 2.0**-53) + gam(kd + 2) / (1 - gam(kd + 2)) * min(diag.sum(), (2 * kd + 1) * diag.max())
     mu = (mu + gram_err) * (1 + gam(n + 3))  # the last factor covers rounding in mu's own sums
-    try:
-        chol = cholesky_banded(band, lower=True, overwrite_ab=True)
-    except np.linalg.LinAlgError:
-        raise InvariantError("norm not certified: mu I - A*A is not definite at mu = %r" % np.ldexp(mu0, 2 * e))
     for _ in range(3):
-        v = cho_solve_banded((chol, True), v)
+        v = solve(v)
         v /= np.linalg.norm(v)
+    v = v if at is None else v[at]  # back to A's own order
     ax, vx, uL = (A.data.real if real else A.data).astype(ext), v.astype(ext), np.finfo(np.longdouble).epsneg
     sq = lambda x: (x.real**2 + x.imag**2).sum()  # noqa: E731
     y = _row_sums(rows, ax * vx[cols], m)  # A v, and below the bound on |Av - y| / |y|

@@ -325,8 +325,9 @@ def test_criterion_12_reports_match_goldens(num, tmp_path):
 
 
 def test_criterion_17_drury_arveson_norm_at_scale():
-    # 20,301 dims, Gram half-bandwidth 400: a dense eigensolve is out of reach,
-    # ARPACK plus a banded Cholesky certifies the norm at the default tol
+    # 20,301 dims, Gram half-bandwidth 400, 102 once ordered: a dense eigensolve
+    # is out of reach, and the banded Cholesky shift search certifies the norm
+    # at the default tol
     phi = sf.Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0, (1, 1): 1.0})
     with criterion(17, "Drury-Arveson d=2 norm at 20,301 dims", budget=5.0):
         val = sf.multiplier_norm_lower(sf.drury_arveson(2), phi, 200)

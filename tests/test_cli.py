@@ -18,7 +18,7 @@ from semifd import cli, fdapprox, funcalg, linrep
 from semifd.cli import main
 from semifd.enumeration import EnumerationTable
 
-from oracles import pairwise_nesting
+from oracles import pairwise_nesting, scipy_operator_norm
 
 
 def write_config(tmp_path, config):
@@ -407,14 +407,18 @@ def test_norm_tol_must_be_positive(tmp_path, capsys, tol):
 
 def test_scipy_loads_only_for_norms(tmp_path):
     # in a fresh interpreter, since this test process has loaded scipy already:
-    # the monoid commands compute no norm, and Hardy's (d = 1) need no ARPACK
+    # the monoid commands compute no norm, Hardy's (d = 1) Gram is tridiagonal,
+    # so no ordering can narrow it, and Drury-Arveson's is put in reverse
+    # Cuthill-McKee order by the package itself: scipy.sparse never loads
     phi = [{"exponents": [0], "re": 1.0}, {"exponents": [1], "re": 1.0}]
+    da_phi = [{"exponents": [0, 0], "re": 1.0}, {"exponents": [1, 0], "re": 1.0}, {"exponents": [1, 1], "re": 1.0}]
     configs = [
         {"command": "enumerate", "presentation": {"builtin": "braid", "n": 3}, "L": 4},
         {"command": "divisors", "presentation": {"builtin": "free", "n": 2}, "L": 4},
         {"command": "coaction", "presentation": {"builtin": "braid", "n": 3}, "map": "length", "L_P": 3, "L_Q": 4, "F": [2]},
         {"command": "fdapprox", "presentation": {"builtin": "braid", "n": 4}, "F": ["s1.s2.s3.s1.s2.s1.s3.s2"], "L": 8},
         {"command": "funcalg", "kernel": "hardy", "phi": phi, "D": 20},
+        {"command": "funcalg", "kernel": {"name": "drury_arveson", "d": 2}, "phi": da_phi, "D": 40},
     ]
     paths = [tmp_path / ("config_%d.json" % k) for k in range(len(configs))]
     for path, config in zip(paths, configs):
@@ -424,19 +428,22 @@ def test_scipy_loads_only_for_norms(tmp_path):
         import json, sys
         from semifd.cli import main
         scipy = lambda: sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
-        *monoids, hardy = sys.argv[1:-1]
+        *monoids, hardy, da = sys.argv[1:-1]
         statuses = [main(["--config", path, "--out", sys.argv[-1]]) for path in monoids]
         before = scipy()
         statuses.append(main(["--config", hardy, "--out", sys.argv[-1]]))
-        print(json.dumps({"statuses": statuses, "before": before, "after": scipy()}))
+        after = scipy()
+        statuses.append(main(["--config", da, "--out", sys.argv[-1]]))
+        print(json.dumps({"statuses": statuses, "before": before, "after": after, "da": scipy()}))
         """
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     argv = [sys.executable, "-c", script, *map(str, paths), str(tmp_path / "report.json")]
     result = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=300).stdout)
-    assert result["statuses"] == [0] * 5
+    assert result["statuses"] == [0] * 6
     assert result["before"] == []
     assert "scipy.linalg" in result["after"] and not [k for k in result["after"] if k.startswith("scipy.sparse")]
+    assert "scipy.sparse.linalg" not in result["da"] and not [k for k in result["da"] if k.startswith("scipy.sparse")]
 
 
 def test_fock_dimension_cap_trips_before_any_basis(tmp_path, capsys, monkeypatch):
@@ -453,17 +460,37 @@ def test_fock_dimension_cap_trips_before_any_basis(tmp_path, capsys, monkeypatch
 
 def test_gram_band_cap_trips_before_the_band(tmp_path, capsys, monkeypatch):
     # Drury-Arveson d=2 at D=40: the Fock dimension C(42, 2) = 861 passes the
-    # cap of 1000, but the ladder's first rung, D=10, has a Gram band of
-    # half-bandwidth 20 on 66 monomials: 21 x 66 = 1,386 words
-    def no_band(*args):
-        raise AssertionError("the band was allocated")
-
-    monkeypatch.setattr(linrep, "_band", no_band)
+    # cap of 1000. The ladder's first rung, D=10, has a Gram band of
+    # half-bandwidth 20 on 66 monomials, 7 once ordered: 8 x 66 = 528 words are
+    # allocated. The second, D=20, has half-bandwidth 12 once ordered, and its
+    # 13 x 231 = 3,003 words are refused before they are allocated
+    bands, real_band = [], linrep._band
+    monkeypatch.setattr(linrep, "_band", lambda kd, n, dtype: bands.append((kd + 1, n)) or real_band(kd, n, dtype))
     phi = [{"exponents": [0, 0], "re": 1.0}, {"exponents": [1, 0], "re": 1.0}, {"exponents": [1, 1], "re": 1.0}]
     config = {"command": "funcalg", "kernel": {"name": "drury_arveson", "d": 2}, "phi": phi, "D": 40}
     status, report, err = run(tmp_path, capsys, config, extra=("--max-words", "1000"))
     assert status == 3 and report is None
-    assert err == "resource limit: Gram band of 21 x 66 words exceeds cap 1000\n"
+    assert err == "resource limit: Gram band of 13 x 231 words exceeds cap 1000\n"
+    assert bands == [(8, 66)]
+
+
+def test_drury_arveson_ladder_certifies_at_D120(tmp_path, capsys, monkeypatch):
+    # phi = 1 + z1 + z1 z2 at D=120 under the default --max-words: the top rung's
+    # Gram band, 241 x 7,381 words in degree order, is 63 x 7,381 once ordered.
+    # Each rung is certified on the leading block of the top rung's operator,
+    # which is that rung's compression, and its norm is the former routine's float
+    norms, real_norm = [], cli.operator_norm
+    monkeypatch.setattr(cli, "operator_norm", lambda A, *a: norms.append((A, real_norm(A, *a))) or norms[-1][1])
+    terms = [{"exponents": [0, 0], "re": 1.0}, {"exponents": [1, 0], "re": 1.0}, {"exponents": [1, 1], "re": 1.0}]
+    config = {"command": "funcalg", "kernel": {"name": "drury_arveson", "d": 2}, "phi": terms, "D": 120}
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 0 and err == "" and all(c["status"] == "pass" for c in report["checks"])
+    kernel, phi = sf.drury_arveson(2), sf.Polynomial.parse_terms(2, terms)
+    assert [dd for dd, _ in report["tables"]["norm_lower_bounds"]] == [30, 60, 120] and len(norms) == 3
+    for (dd, reported), (A, value) in zip(report["tables"]["norm_lower_bounds"], norms):
+        basis = sf.fock_basis(kernel, dd)
+        assert A == funcalg.multiplication(kernel, phi, basis, basis)
+        assert value == scipy_operator_norm(A) and reported == float("%.12g" % value)
 
 
 def test_fdapprox_contractivity_is_exact(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,38 @@ from semifd.linrep import partial_map
 
 from oracles import gram_operator_norm, scipy_algebra, scipy_canonical, scipy_operator_norm
 
+# the former estimators of lambda_max(A*A): dense eigvalsh stays for n <= 64, and
+# the shift search replaced eig_banded and ARPACK's eigsh above that
+ESTIMATORS = ((np.linalg, "eigvalsh"), (scipy.linalg, "eig_banded"), (scipy.sparse.linalg, "eigsh"))
+
+
+def record_estimators(monkeypatch) -> list:
+    """The names of the estimators called, in order."""
+    calls = []
+    for module, name in ESTIMATORS:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+def record_factorizations(monkeypatch, pbtrf=None) -> list:
+    """The info of each LAPACK pbtrf the norm routine calls (0: the Cholesky ran to completion),
+    through pbtrf(real_pbtrf, *args, **kwargs) when given."""
+    infos, real_get = [], scipy.linalg.get_lapack_funcs
+
+    def get_lapack_funcs(names, arrays):
+        real, *rest = real_get(names, arrays)
+
+        def wrapped(*args, **kwargs):
+            out = pbtrf(real, *args, **kwargs) if pbtrf else real(*args, **kwargs)
+            infos.append(out[1])
+            return out
+
+        return (wrapped, *rest)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    return infos
+
 
 def test_shift_on_naturals(nat1):
     one = nat1.element_from_word((0,))
@@ -212,16 +244,11 @@ def test_operator_norm_large_diagonal():
 )
 def test_banded_and_dense_gram_match_svd(n, width, monkeypatch):
     # the Gram matrix has half-bandwidth kd = min(2 * width, n - 1); its top
-    # eigenvalue is estimated by dense eigvalsh when n <= 64, by eig_banded
-    # when kd <= 8 and by ARPACK eigsh otherwise, so the cases hit all three
-    # on both sides of each switch; every estimate then goes through the same
-    # Cholesky certificate and inverse iteration
-    kd = min(2 * width, n - 1)
-    expected = "eigvalsh" if n <= 64 else "eig_banded" if kd <= 8 else "eigsh"
-    calls = []
-    for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eig_banded"), (scipy.sparse.linalg, "eigsh")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    # eigenvalue is estimated by dense eigvalsh when n <= 64 and found by the
+    # Cholesky shift search above, so the cases sit on both sides of the switch
+    # and of the former eig_banded / eigsh switch at kd = 8; every shift then
+    # goes through the same Cholesky certificate and inverse iteration
+    calls = record_estimators(monkeypatch)
     rng = np.random.default_rng(n + width)
     b = sf.Basis(("band", n, width), tuple(range(n)))
     entries = {
@@ -232,33 +259,128 @@ def test_banded_and_dense_gram_match_svd(n, width, monkeypatch):
     A = sf.SparseOperator(b, b, entries)
     oracle = float(np.linalg.svd(A.to_dense(), compute_uv=False)[0])
     assert sf.operator_norm(A) == pytest.approx(oracle, rel=1e-12)
-    assert calls == [expected]
+    assert calls == (["eigvalsh"] if n <= 64 else [])
 
 
 @pytest.mark.parametrize("estimator", ["eigvalsh", "eig_banded", "eigsh"])
 def test_estimate_below_lambda_max_fails_the_cholesky(estimator, monkeypatch):
-    # a mutation of the estimate: mu0 = theta0 (1 + 1e-12) lands below
-    # lambda_max, so mu0 I - A*A is indefinite and the certificate must refuse
+    # a mutation of the estimate. Dense (n <= 64): mu0 = theta0 (1 + 1e-12)
+    # lands below lambda_max, so mu0 I - A*A is indefinite and the certificate
+    # must refuse. The former eig_banded and eigsh cases now run the shift
+    # search: a pbtrf that refuses every shift must end it in a refusal within
+    # its 24 factorizations
     n, width = {"eigvalsh": (40, 2), "eig_banded": (200, 1), "eigsh": (200, 10)}[estimator]
-    module = {"eigvalsh": np.linalg, "eig_banded": scipy.linalg, "eigsh": scipy.sparse.linalg}[estimator]
-    real = getattr(module, estimator)
-    monkeypatch.setattr(module, estimator, lambda *a, **k: real(*a, **k) * (1 - 1e-6))
     rng = np.random.default_rng(n)
     b = sf.Basis(("low", n), tuple(range(n)))
     A = sf.SparseOperator(b, b, {(i, j): rng.normal() for i in range(n) for j in range(i, min(n, i + width + 1))})
-    with pytest.raises(sf.SemifdError, match="not certified: mu I - A\\*A is not definite"):
+    if estimator == "eigvalsh":
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: real(*a, **k) * (1 - 1e-6))
+        with pytest.raises(sf.InvariantError, match="not certified: mu I - A\\*A is not definite"):
+            sf.operator_norm(A)
+        return
+    infos = record_factorizations(monkeypatch, lambda real, ab, **k: (real(ab, **k)[0], n))  # "minor n fails"
+    with pytest.raises(sf.InvariantError, match="^norm not certified: shift search did not settle in 24 factor"):
         sf.operator_norm(A)
+    assert infos == [n] * 24
 
 
-def test_lanczos_without_convergence_is_not_certified(monkeypatch):
-    def stalled(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+HARD_SPECTRA = {
+    "hardy-1+z-D3000": lambda: _fock(sf.hardy(), {(0,): 1.0, (1,): 1.0}, 3000),  # relative top gap ~1e-6
+    "hardy-1+z3-D600": lambda: _fock(sf.hardy(), {(0,): 1.0, (3,): 1.0}, 600),  # A*A is three chains
+    "da3-three-terms-D12": lambda: _fock(sf.drury_arveson(3), {(0, 0, 0): 1.0, (1, 0, 0): 0.5, (0, 1, 1): -0.7j}, 12),
+    "da2-D60": lambda: _fock(sf.drury_arveson(2), {(0, 0): 1.0, (1, 0): 1.0, (1, 1): 1.0}, 60),
+    "da3-tops-1.6e-10-apart": lambda: _fock(  # in two components of A*A: inverse iteration cannot part them
+        sf.drury_arveson(3), {(0, 0, 0): 0.7273 + 0.8279j, (1, 1, 0): 0.0145 - 0.0045j, (2, 0, 0): 0.6061 - 0.4709j}, 13
+    ),
+    "identity": lambda: _banded(100, 100, lambda i, j: 1.0 if i == j else 0.0, 0),
+    "two-equal-blocks": lambda: _banded(80, 80, lambda i, j: (i // 40 == j // 40) * _block(i % 40, j % 40), 2),
+    "zero-columns": lambda: _banded(120, 90, lambda i, j: 0.0 if j % 3 == 1 else np.sin(i + 2 * j) + 1j, 2),
+    "wide": lambda: _banded(70, 300, lambda i, j: np.cos(3 * i - j), 3),
+    "tall": lambda: _banded(300, 70, lambda i, j: np.cos(3 * i - j) + 0.5j * np.sin(i), 3),
+    "1e200": lambda: _banded(150, 150, lambda i, j: 1e200 * np.cos(i * j), 4),
+}
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
-    b = sf.Basis(("stall",), tuple(range(100)))
-    A = sf.SparseOperator(b, b, {(i, j): 1.0 for i in range(100) for j in (i, (i + 9) % 100)})
-    with pytest.raises(sf.SemifdError, match="Lanczos did not converge"):
+
+def _block(i, j):
+    return (i == j) + np.cos(i - 2 * j)
+
+
+def _fock(kernel, coeffs, D):
+    basis = sf.fock_basis(kernel, D)
+    return sf.funcalg.multiplication(kernel, sf.Polynomial(kernel.d, coeffs), basis, basis)
+
+
+def _banded(n, m, entry, width):
+    """The m x n operator with entry(i, j) at |i - j m / n| <= width."""
+    b_n, b_m = sf.Basis(("band", n), tuple(range(n))), sf.Basis(("band", m), tuple(range(m)))
+    return sf.SparseOperator(b_n, b_m, {
+        (i, j): complex(entry(i, j))
+        for j in range(n) for i in range(max(0, j * m // n - width), min(m, j * m // n + width + 1))
+    })
+
+
+def _oracle_outcome(A, tol=1e-9):
+    """scipy_operator_norm's outcome; its A*A overflows for 1e200 entries, so there it
+    certifies A 2^-664, whose norm 2^664 is the same float."""
+    if not A.is_zero() and abs(A.data).max() > 1e100:
+        return _norm_outcome(scipy_operator_norm, A.scale(2.0**-664), tol) * 2.0**664
+    return _norm_outcome(scipy_operator_norm, A, tol)
+
+
+@pytest.mark.parametrize("case", sorted(HARD_SPECTRA))
+def test_hard_spectra_match_scipy_oracle_bit_for_bit(case, monkeypatch):
+    # clustered and repeated top eigenvalues, Grams in several components,
+    # zero columns, rectangular shapes and 1e200 entries: the shift search
+    # settles within 12 factorizations on each, and the norm is the former
+    # routine's float
+    A = HARD_SPECTRA[case]()
+    expected = _oracle_outcome(A)
+    calls, infos = record_estimators(monkeypatch), record_factorizations(monkeypatch)
+    outcome = _norm_outcome(sf.operator_norm, A, 1e-9)
+    assert type(outcome) is float and outcome == expected
+    assert calls == [] and 1 <= len(infos) <= 12 and infos[-1] == 0
+
+
+def test_random_banded_sweep_matches_scipy_oracle_bit_for_bit(monkeypatch):
+    # 300 seeded operators, n = 65..400, rectangular, real and complex, Gram
+    # half-bandwidths up to about 46: each norm is the former routine's float,
+    # found in at most 12 factorizations
+    rng, infos = np.random.default_rng(2024), record_factorizations(monkeypatch)
+    counts = []
+    for _ in range(300):
+        n, width, cplx = int(rng.integers(65, 401)), int(rng.integers(0, 12)), bool(rng.integers(2))
+        m = int(rng.integers(n // 2, 2 * n))
+        values = rng.standard_normal((m, n)) + (1j * rng.standard_normal((m, n)) if cplx else 0)
+        A = _banded(n, m, lambda i, j: values[i, j], width)
+        infos.clear()
+        assert sf.operator_norm(A) == scipy_operator_norm(A)
+        counts.append(len(infos))
+    assert max(counts) <= 12
+
+
+def test_accepted_shifts_bound_lambda_max(monkeypatch):
+    # every shift at which the search's Cholesky succeeds, the certificate's
+    # included, is at least the dense lambda_max (1 - 1e-13) of the operator as
+    # the routine scales it: no accepted shift lies inside the spectrum
+    accepted, search = [], linrep._shift_search
+
+    def recording(factor, *args, **kwargs):
+        def wrapped(s):
+            ok = factor(s)
+            accepted.extend([s] if ok else [])
+            return ok
+
+        return search(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(linrep, "_shift_search", recording)
+    for case in ("da3-three-terms-D12", "da3-tops-1.6e-10-apart", "two-equal-blocks", "tall", "zero-columns"):
+        A = HARD_SPECTRA[case]()
+        accepted.clear()
         sf.operator_norm(A)
+        dense = A.to_dense() * 2.0 ** -int(np.frexp(abs(A.data.view(float)).max())[1])  # as the routine scales it
+        lam = np.linalg.eigvalsh(dense.conj().T @ dense)[-1]
+        assert accepted and min(accepted) >= lam * (1 - 1e-13)
 
 
 def test_operator_norm_bracket_contains_dense_value_at_D60():
@@ -273,14 +395,16 @@ def test_operator_norm_bracket_contains_dense_value_at_D60():
 
 
 def test_band_cap_trips_before_the_band_is_allocated(monkeypatch):
+    # I + S^9 on Z/100: A*A = 2 + S^9 + S^-9 is one cycle, half-bandwidth 91 in
+    # index order and 2 after the ordering, so the cap is on 3 x 100 words
     def no_band(*args):
         raise AssertionError("the band was allocated")
 
     monkeypatch.setattr(linrep, "_band", no_band)
     b = sf.Basis(("cap",), tuple(range(100)))
     A = sf.SparseOperator(b, b, {(i, j): 1.0 for i in range(100) for j in (i, (i + 9) % 100)})
-    with pytest.raises(sf.ResourceLimitError, match="exceeds cap 1000"):
-        sf.operator_norm(A, max_words=1000)
+    with pytest.raises(sf.ResourceLimitError, match="^Gram band of 3 x 100 words exceeds cap 250$"):
+        sf.operator_norm(A, max_words=250)
 
 
 def test_is_partial_map_is_exact():
@@ -451,12 +575,10 @@ def test_tensor_index_matches_pair_enumeration(free2, braid3):
 )
 def test_overflowing_gram_is_not_certified(n, width, estimator, monkeypatch):
     # (1e200)^2 would overflow A*A: the routine never forms it, since it certifies
-    # A scaled exactly by a power of two. The named estimator runs, silently, and
-    # the norm matches a dense SVD of the matrix scaled by 2^-664
-    calls = []
-    for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eig_banded"), (scipy.sparse.linalg, "eigsh")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    # A scaled exactly by a power of two. Dense eigvalsh (n <= 64) or the shift
+    # search (the former eig_banded and eigsh cases) runs, silently, and the norm
+    # matches a dense SVD of the matrix scaled by 2^-664
+    calls = record_estimators(monkeypatch)
     b = sf.Basis(("inf", n), tuple(range(n)))
     A = sf.SparseOperator(b, b, {(i, j): 1e200 for i in range(n) for j in range(i, min(n, i + width + 1))})
     with warnings.catch_warnings():
@@ -464,7 +586,7 @@ def test_overflowing_gram_is_not_certified(n, width, estimator, monkeypatch):
         value = sf.operator_norm(A)
     oracle = float(np.linalg.svd(A.to_dense() * 2.0**-664, compute_uv=False)[0]) * 2.0**664
     assert value == pytest.approx(oracle, rel=1e-12)
-    assert calls == [estimator]
+    assert calls == (["eigvalsh"] if n <= 64 else [])
 
 
 @pytest.mark.parametrize("k", [-600, -300, -80, 80, 150, 600])
@@ -523,15 +645,12 @@ def _norm_outcome(norm, A, tol):
     ],
 )
 def test_operator_norm_matches_scipy_oracle_bit_for_bit(kind, n, m, width, complex_data, monkeypatch):
-    # the former routine formed A*A by dense numpy (m n <= 4096) or scipy.sparse;
-    # the norm read off the operator's own arrays must be the same float or the
-    # same refusal. Column j of the m x n operator is random near row j m / n, so
-    # A*A has a narrow band; scaled by 0 it is the zero operator, and by 1e200
-    # its Gram overflows unless A is first rescaled
-    calls = []
-    for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eig_banded"), (scipy.sparse.linalg, "eigsh")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    # the former routine formed A*A by dense numpy (m n <= 4096) or scipy.sparse
+    # and estimated lambda_max by the estimator the case is named after; the norm
+    # read off the operator's own arrays must be the same float. Column j of the
+    # m x n operator is random near row j m / n, so A*A has a narrow band; scaled
+    # by 0 it is the zero operator, and by 1e200 its Gram overflows unless A is
+    # first rescaled
     rng, scale = np.random.default_rng(n * m + width), {"zero": 0.0, "overflow": 1e200}.get(kind, 1.0)
     entries = {
         (i, j): scale * complex(rng.normal(), rng.normal() if complex_data else 0.0)
@@ -539,18 +658,16 @@ def test_operator_norm_matches_scipy_oracle_bit_for_bit(kind, n, m, width, compl
         for i in range(max(0, j * m // n - width), min(m, j * m // n + width + 1))
     }
     A = sf.SparseOperator(sf.Basis(("bit", n), tuple(range(n))), sf.Basis(("bit", m), tuple(range(m))), entries)
+    expected, calls = _oracle_outcome(A), record_estimators(monkeypatch)
     outcome = _norm_outcome(sf.operator_norm, A, 1e-9)
-    if kind == "overflow":  # the oracle's A*A overflows; A 2^-664 stays in range, and 2^664 its norm is the same float
-        assert outcome == _norm_outcome(scipy_operator_norm, A.scale(2.0**-664), 1e-9) * 2.0**664
-    else:
-        assert outcome == _norm_outcome(scipy_operator_norm, A, 1e-9)
-    if kind == "zero":
-        assert outcome == 0.0 and A.is_zero() and not calls
-    elif kind == "overflow":
-        assert type(outcome) is float and set(calls) == {"eigsh"}
-    else:
-        assert type(outcome) is float and set(calls) == {kind}
+    assert type(outcome) is float and outcome == expected
+    assert A.is_zero() == (kind == "zero") == (outcome == 0.0)
+    assert calls == (["eigvalsh"] if kind == "eigvalsh" else [])
     if kind not in ("zero", "overflow") and n * m > 4096:  # a sparse Gram, summed in the same order
-        refusal = _norm_outcome(sf.operator_norm, A, 1e-14)
-        assert refusal.startswith("InvariantError: norm not certified: bracket width")
-        assert refusal == _norm_outcome(scipy_operator_norm, A, 1e-14)
+        # mu0 is now the accepted shift, within 2e-12 of lambda_max, where it was
+        # the estimate times 1 + 1e-12, so the width moves by less than 1e-12
+        refusal, former = (_norm_outcome(f, A, 1e-14) for f in (sf.operator_norm, scipy_operator_norm))
+        prefix = "InvariantError: norm not certified: bracket width "
+        assert refusal.startswith(prefix) and former.startswith(prefix)
+        width, former_width = (float(x[len(prefix):].split()[0]) for x in (refusal, former))
+        assert abs(width - former_width) < 1e-12
