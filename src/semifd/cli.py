@@ -261,16 +261,18 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
         raise ResourceLimitError("Fock basis of degree <= %d exceeds cap %d" % (D, max_words))
     runner = CheckRunner()
     tables = {}
+    top = funcalg.fock_basis(kernel, D)  # ordered by degree: each lower degree's compression is a leading block of M
+    M = funcalg.multiplication(kernel, phi, top, top)
+
+    def block(dd):  # the compression of M to degree <= dd, sliced from its CSR arrays
+        k = math.comb(dd + kernel.d, kernel.d)
+        keep, basis = M.indices[: M.indptr[k]] < k, Basis(top.tag, top.labels[:k])
+        indptr = np.append(0, keep.cumsum())[M.indptr[: k + 1]]  # kept entries before each row
+        return _csr(basis, basis, indptr, M.indices[: len(keep)][keep], M.data[: len(keep)][keep])
 
     def norm_ladder():
         ladder = sorted({D // 4 or D, D // 2 or D, D})  # no rung above D
-        top = funcalg.fock_basis(kernel, D)  # ordered by degree: each rung's compression is a leading block
-        M, values = funcalg.multiplication(kernel, phi, top, top), []
-        for k in (math.comb(dd + kernel.d, kernel.d) for dd in ladder):
-            keep, basis = M.indices[: M.indptr[k]] < k, Basis(top.tag, top.labels[:k])
-            indptr = np.append(0, keep.cumsum())[M.indptr[: k + 1]]  # kept entries before each row
-            block = _csr(basis, basis, indptr, M.indices[: len(keep)][keep], M.data[: len(keep)][keep])
-            values.append(operator_norm(block, norm_tol, max_words))
+        values = [operator_norm(block(dd), norm_tol, max_words) for dd in ladder]
         for lo, hi in zip(values, values[1:]):
             if not lo <= hi + 1e-10:  # NaN fails
                 raise InvariantError("compression norms decreased along %r" % (ladder,))
@@ -278,18 +280,21 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
         return {"D": D, "norm_lower": values[-1]}
 
     def covariance():
-        # G* (P M_phi P) G = P M_{phi o conj(zeta)} P on degree <= 8; G = diag(zeta^|alpha|)
-        basis = funcalg.fock_basis(kernel, min(D, 8))
-        M = funcalg.multiplication(kernel, phi, basis, basis).to_dense()
-        degrees = np.array([sum(a) for a in basis.labels])
-        bound = 1e-12 * max(1.0, float(abs(M.view(float)).max()))  # relative to M's largest re or im part
-        for k in range(8):
-            zeta = complex(np.exp(2j * np.pi * k / 8))
+        # G* (P M_phi P) G = P M_{phi o conj(zeta)} P on degree <= 8, G = diag(zeta^|alpha|), entry by entry on the
+        # CSR arrays: on their common pattern, or else on the union, where the sum 0 + x - r is x - r, x or -r
+        A = block(min(D, 8))
+        op = functools.partial(_csr, A.domain, A.domain)  # an operator on A's basis from CSR arrays
+        rows, degrees = A._rows(), np.array([sum(a) for a in A.domain.labels])
+        bound = 1e-12 * max(1.0, float(abs(A.data.view(float)).max(initial=0.0)))  # A's largest re or im part
+        zetas = [complex(np.exp(2j * np.pi * k / 8)) for k in range(8)]
+        rotated = [funcalg.circle_action(phi, zeta.conjugate()) for zeta in zetas]
+        for k, (zeta, R) in enumerate(zip(zetas, funcalg._multiplications(kernel, rotated, A.domain, A.domain))):
             G = zeta**degrees
-            rotated = funcalg.circle_action(phi, zeta.conjugate())
-            rhs = funcalg.multiplication(kernel, rotated, basis, basis).to_dense()
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite err fails below
-                err = float(np.abs(G.conj()[:, None] * M * G - rhs).max())
+                x = G.conj()[rows] * A.data * G[A.indices]
+                same = np.array_equal(R.indptr, A.indptr) and np.array_equal(R.indices, A.indices)
+                x = x - R.data if same else (op(A.indptr, A.indices, x) + op(R.indptr, R.indices, -R.data)).data
+                err = float(np.abs(x).max(initial=0.0))
             if not err <= bound < np.inf:  # NaN and inf fail
                 raise InvariantError("covariance violated at 8th root %d: err %r" % (k, err))
         return "within 1e-12"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeOverflowError, InputError, KernelSpecError
+from .errors import BasisMismatchError, DegreeOverflowError, InputError, KernelSpecError
 from .linrep import Basis, SparseOperator, _from_coo, operator_norm
 
 Multidx = tuple[int, ...]
@@ -164,30 +164,50 @@ def fock_basis(kernel: KernelSpec, D: int) -> Basis:
 
 
 def multiplication(kernel: KernelSpec, phi: Polynomial, dom: Basis, cod: Basis) -> SparseOperator:
-    """Multiplication by phi between Fock bases, dom a prefix of cod; images
-    beyond cod are dropped, so dom = cod gives the square compression. Entries
-    are c ||z^(alpha+beta)|| / ||z^alpha||, rounded as the scalar (c * a) / b
-    is, with rows found by the exponent vectors alpha + beta."""
-    if phi.d != kernel.d:
-        raise InputError("polynomial has %d variables, kernel has %d" % (phi.d, kernel.d))
-    if kernel.d == 1:  # alpha!/|alpha|! = 1, so monomial_norm is sqrt(1.0 / c_n), bit for bit
-        norms = np.sqrt(1.0 / np.array([kernel.c(n) for (n,) in cod.labels]))
-    else:
-        norms = np.array([monomial_norm(kernel, a) for a in cod.labels])
+    """Multiplication by phi between Fock bases, dom a prefix of cod; images beyond cod are dropped, so dom = cod gives
+    the square compression. Entries are c ||z^(alpha+beta)|| / ||z^alpha||, rounded as the scalar (c * a) / b is, with
+    the row of alpha + beta its position in the degree-then-lex order."""
+    return _multiplications(kernel, [phi], dom, cod)[0]
+
+
+def _multiplications(kernel: KernelSpec, phis: list, dom: Basis, cod: Basis) -> list[SparseOperator]:
+    """multiplication(kernel, phi, dom, cod) of each phi, bit for bit, from one norm vector and a lookup per support."""
+    if bad := [phi.d for phi in phis if phi.d != kernel.d]:
+        raise InputError("polynomial has %d variables, kernel has %d" % (bad[0], kernel.d))
+    if cod.tag != ("fock", kernel.fingerprint):  # fock_basis or a leading block of it, where rows are positions
+        raise BasisMismatchError("codomain is not a Fock basis of this kernel")
     labels = np.array(cod.labels, dtype=np.int64).reshape(cod.dim, kernel.d)
-    betas = np.array(list(phi.coeffs), dtype=np.int64).reshape(1, -1, kernel.d)
-    targets = (labels[: dom.dim, None] + betas).reshape(-1, kernel.d)
-    # rows by exponent vectors keyed by their bytes, an order in which equal means equal
-    keys, want = (np.ascontiguousarray(x).view("V%d" % (8 * kernel.d)).ravel() for x in (labels, targets))
-    order = np.argsort(keys)
-    at = order[np.searchsorted(keys, want, sorter=order) % cod.dim]  # past the end wraps to a mismatch
-    rows = np.where(keys[at] == want, at, -1)
-    cols = np.arange(dom.dim).repeat(betas.shape[1])
-    c = np.tile(np.array(list(phi.coeffs.values()), dtype=complex), dom.dim)[rows >= 0]
-    rows, cols = rows[rows >= 0], cols[rows >= 0]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails a check later; -0.0 -> 0.0
-        data = c.real * norms[rows] / norms[cols] + 1j * (c.imag * norms[rows] / norms[cols]) + 0.0
-    return _from_coo(dom, cod, rows, cols, data)
+    top = int((n := labels.sum(axis=1)).max(initial=0))
+    norms = np.sqrt(1.0 / (cn := np.array([kernel.c(k) for k in range(top + 1)])[n]))  # monomial_norm for d = 1
+    if kernel.d > 1:  # monomial_norm's exact branch on arrays (the exact multinomial |alpha|!/alpha!, rounded once)
+        fact, exact = np.array([math.factorial(k) for k in range(min(top, 150) + 1)], dtype=object), n <= 150
+        norms[exact] = np.sqrt(1.0 / ((fact[n[exact]] // fact[labels[exact]].prod(axis=1)).astype(float) * cn[exact]))
+        norms[~exact] = [monomial_norm(kernel, a) for a in labels[~exact].tolist()]
+    ops, lookups = [], {}
+    for phi in phis:
+        if (support := tuple(phi.coeffs)) not in lookups:  # alpha + beta for alpha in dom, beta in support
+            betas = np.array(support, dtype=np.int64).reshape(-1, kernel.d)
+            rows = _positions((labels[: dom.dim, None] + betas).reshape(-1, kernel.d), top)
+            cols, terms = np.divmod(found := np.flatnonzero((rows >= 0) & (rows < cod.dim)), len(support))
+            lookups[support] = rows[found], cols, terms
+        rows, cols, terms = lookups[support]
+        c = np.array(list(phi.coeffs.values()), dtype=complex)[terms]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails a check later; -0.0 -> 0.0
+            data = c.real * norms[rows] / norms[cols] + 1j * (c.imag * norms[rows] / norms[cols]) + 0.0
+        ops.append(_from_coo(dom, cod, rows, cols, data))
+    return ops
+
+
+def _positions(x: np.ndarray, top: int) -> np.ndarray:
+    """Position of each exponent vector (a row of x) in fock_basis's order, -1 above degree top: those of lower
+    degree, and at each i < d - 1 those agreeing before i and less at i, C(t_i + m, m) - C(t_(i+1) + m, m) for
+    m = d-1-i (hockey stick), t_i = x_i + ... + x_(d-1) the suffix sums."""
+    t = np.minimum(np.minimum(x, top + 1)[:, ::-1].cumsum(axis=1)[:, ::-1], top + 1)  # t_0 > top if an entry is
+    C, d = [np.append(0, np.ones(top + 2, dtype=np.int64))], x.shape[1]  # C[m][s + 1] = C(s + m, m), C[m][0] = 0
+    while len(C) <= d:
+        C.append(C[-1].cumsum())
+    pos = C[d][t[:, 0]] + sum(C[d - 1 - i][t[:, i] + 1] - C[d - 1 - i][t[:, i + 1] + 1] for i in range(d - 1))
+    return np.where(t[:, 0] <= top, pos, -1)
 
 
 def mult_operator(kernel: KernelSpec, phi: Polynomial, D: int) -> SparseOperator:

@@ -349,3 +349,25 @@ def operator_fell_check(phi, L_P: int, L_Q: int):
         intertwined.append(name)
     report["intertwined_generators"] = intertwined
     return W, report
+
+
+def dense_covariance_errors(kernel, phi, D: int) -> tuple[list[float], float]:
+    """The ``circle-covariance`` check's former dense loop: for each 8th root of
+    unity zeta, the largest entry of |G* M G - M_rot| on degree <= min(D, 8), with
+    G = diag(zeta^|alpha|) and M_rot the compression of phi rotated by conj(zeta),
+    and the bound 1e-12 max(1, m) the check holds them to."""
+    from semifd import funcalg
+
+    basis = funcalg.fock_basis(kernel, min(D, 8))
+    M = funcalg.multiplication(kernel, phi, basis, basis).to_dense()
+    degrees = np.array([sum(a) for a in basis.labels])
+    bound = 1e-12 * max(1.0, float(abs(M.view(float)).max()))  # relative to M's largest re or im part
+    errs = []
+    for k in range(8):
+        zeta = complex(np.exp(2j * np.pi * k / 8))
+        G = zeta**degrees
+        rotated = funcalg.circle_action(phi, zeta.conjugate())
+        rhs = funcalg.multiplication(kernel, rotated, basis, basis).to_dense()
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite err fails below
+            errs.append(float(np.abs(G.conj()[:, None] * M * G - rhs).max()))
+    return errs, bound

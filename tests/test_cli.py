@@ -9,6 +9,7 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from semifd import cli, fdapprox, funcalg, linrep
 from semifd.cli import main
 from semifd.enumeration import EnumerationTable
 
-from oracles import pairwise_nesting, scipy_operator_norm
+from oracles import dense_covariance_errors, pairwise_nesting, scipy_operator_norm
 
 
 def write_config(tmp_path, config):
@@ -533,6 +534,62 @@ def test_covariance_bound_is_relative_to_the_compression(tmp_path, capsys, monke
     status, report, err = run(tmp_path, capsys, config)
     (check,) = [c for c in report["checks"] if c["name"] == "circle-covariance"]
     assert status == 1 and check["status"] == "fail" and check["witness"].startswith("covariance violated at 8th root 0")
+
+
+COVARIANCE_CONFIGS = {
+    "hardy-1e5": {"command": "funcalg", "kernel": "hardy", "phi": [{"exponents": [n], "re": 1e5} for n in (0, 1)], "D": 8},
+    "da2": {"command": "funcalg", "kernel": {"name": "drury_arveson", "d": 2}, "D": 8, "phi": [
+        {"exponents": [0, 0], "re": 0.5, "im": -0.25}, {"exponents": [1, 0], "re": 1.0}, {"exponents": [1, 2], "im": 0.75}]},
+}
+
+
+@pytest.mark.parametrize("root", [0, 3])
+@pytest.mark.parametrize(
+    "change, config",
+    [("scale", "hardy-1e5"), ("scale", "da2"), ("drop", "hardy-1e5"), ("drop", "da2"), ("add", "da2")],
+)
+def test_covariance_witness_is_the_dense_oracle_error(tmp_path, capsys, monkeypatch, change, config, root):
+    # the rotation for one 8th root is wrong: scaled by 1 + 1e-10, or a term of phi dropped
+    # or added, so that the rotated compression lacks entries of G*MG or has more (the two
+    # patterns differ); the check compares CSR arrays, and its err is the former dense maximum
+    config = COVARIANCE_CONFIGS[config]
+    kernel = cli._load_kernel(config["kernel"])
+    phi = cli._load_polynomial(config["phi"], kernel.d)
+    rotate, wrong = funcalg.circle_action, complex(np.exp(2j * np.pi * root / 8)).conjugate()
+
+    def circle_action(p, zeta):
+        q = rotate(p, zeta)
+        if zeta != wrong:
+            return q
+        if change == "scale":
+            return q.scale(1 + 1e-10)
+        extra = {(2,) * kernel.d: 0.5} if change == "add" else {max(q.coeffs): -q.coeffs[max(q.coeffs)]}
+        return q + sf.Polynomial(kernel.d, extra)
+
+    monkeypatch.setattr(funcalg, "circle_action", circle_action)
+    errs, bound = dense_covariance_errors(kernel, phi, config["D"])
+    assert [k for k, err in enumerate(errs) if not err <= bound] == [root]
+    basis = sf.fock_basis(kernel, 8)
+    patterns = [funcalg.multiplication(kernel, q, basis, basis).indices.size for q in (phi, circle_action(phi, wrong))]
+    assert (patterns[0] == patterns[1]) == (change == "scale")
+    status, report, err = run(tmp_path, capsys, config)
+    (check,) = [c for c in report["checks"] if c["name"] == "circle-covariance"]
+    assert status == 1 and check["witness"] == "covariance violated at 8th root %d: err %r" % (root, errs[root])
+
+
+def test_funcalg_job_builds_one_basis_and_one_operator(tmp_path, capsys, monkeypatch):
+    # Hardy D=400: rungs of 101, 201 and 401 dims, all above the dense-norm size of 64.
+    # The ladder and the covariance check read leading blocks of one M, and nothing densifies
+    calls = []
+    for owner, name in ((funcalg, "fock_basis"), (funcalg, "multiplication"), (linrep.SparseOperator, "to_dense")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, name=name, real=real: calls.append((name, a)) or real(*a))
+    terms = [{"exponents": [0], "re": 1.0}, {"exponents": [1], "re": 0.5, "im": 0.5}, {"exponents": [3], "re": -0.25}]
+    status, report, err = run(tmp_path, capsys, {"command": "funcalg", "kernel": "hardy", "phi": terms, "D": 400})
+    assert status == 0, err
+    assert [dd for dd, _ in report["tables"]["norm_lower_bounds"]] == [100, 200, 400]
+    assert [name for name, _ in calls] == ["fock_basis", "multiplication"]
+    assert calls[1][1][1] == cli._load_polynomial(terms, 1)  # multiplication(kernel, phi, top, top)
 
 
 @pytest.mark.parametrize(

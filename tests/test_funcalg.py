@@ -141,7 +141,14 @@ KERNELS = {
 }
 
 
-@pytest.mark.parametrize("name, D", [("hardy", 200), ("dirichlet", 160), ("da2", 14), ("da3", 7), ("custom2", 12)])
+@pytest.mark.parametrize(
+    "name, D",
+    [
+        ("hardy", 200), ("dirichlet", 160), ("da2", 14), ("da3", 7), ("custom2", 12),
+        # the benchmark's shapes, and a codomain of degree 148 < 150 < 152
+        ("hardy", 2000), ("dirichlet", 600), ("da2", 36), ("da3", 13), ("custom2", 30), ("da2", 150),
+    ],
+)
 def test_multiplication_matches_entry_loop_bit_for_bit(name, D):
     # degrees above 150 take monomial_norm's lgamma branch; dom = cod, dom
     # smaller than cod, and images dropped beyond cod are all covered
@@ -151,12 +158,62 @@ def test_multiplication_matches_entry_loop_bit_for_bit(name, D):
         coeffs = {tuple(int(x) for x in rng.multinomial(n, [1 / kernel.d] * kernel.d)): c
                   for n, c in zip((0, 1, 2, 3), (1.0, rng.normal() * 1j, complex(*rng.normal(size=2)), -0.5))}
         phi = sf.Polynomial(kernel.d, coeffs)
-        for lo, hi in ((D, D), (D, D + 3), (D - 2, D)):
+        for lo, hi in ((D, D), (D, D + 3), (D - 2, D), (D - 2, D + 2)):
             dom, cod = sf.fock_basis(kernel, lo), sf.fock_basis(kernel, hi)
             new = sf.funcalg.multiplication(kernel, phi, dom, cod)
             old = loop_multiplication(kernel, phi, dom, cod)
             assert np.array_equal(new.indptr, old.indptr) and np.array_equal(new.indices, old.indices)
             assert np.array_equal(new.data.view(np.uint64), old.data.view(np.uint64))  # the same bits
+
+
+@pytest.mark.parametrize("name", ["hardy", "dirichlet", "da2", "da3", "custom2"])
+def test_rotations_share_one_lookup_bit_for_bit(name, monkeypatch):
+    # the eight rotations of phi share its support: one row lookup serves them all,
+    # and each operator equals its own multiplication call bit for bit
+    kernel, rng = KERNELS[name], np.random.default_rng(len(name))
+    B = sf.fock_basis(kernel, 8)
+    monos = [a for a in B.labels if sum(a) <= 3]
+    phi = sf.Polynomial(kernel.d, {monos[i]: complex(*rng.normal(size=2)) for i in rng.choice(len(monos), 4, replace=False)})
+    other = sf.Polynomial(kernel.d, {monos[-1]: 2.0, (0,) * kernel.d: -1j})
+    rotated = [sf.circle_action(phi, complex(np.exp(2j * np.pi * k / 8)).conjugate()) for k in range(8)]
+    lookups, positions = [], sf.funcalg._positions
+    monkeypatch.setattr(sf.funcalg, "_positions", lambda x, top: lookups.append(len(x)) or positions(x, top))
+    for phis, supports in ((rotated, 1), ([phi, other, rotated[3], sf.Polynomial(kernel.d, {}), other], 3)):
+        lookups.clear()
+        ops = sf.funcalg._multiplications(kernel, phis, B, B)
+        assert len(lookups) == supports
+        for p, op in zip(phis, ops):
+            one = sf.funcalg.multiplication(kernel, p, B, B)
+            assert np.array_equal(op.indptr, one.indptr) and np.array_equal(op.indices, one.indices)
+            assert np.array_equal(op.data.view(np.uint64), one.data.view(np.uint64))
+
+
+def test_multiplication_refuses_a_codomain_that_is_not_a_fock_basis():
+    # rows are positions in the degree-then-lex order, so any other codomain is refused
+    kernel, phi = sf.drury_arveson(2), poly(2, {(1, 0): 1.0})
+    B = sf.fock_basis(kernel, 3)
+    with pytest.raises(sf.BasisMismatchError):
+        sf.funcalg.multiplication(kernel, phi, B, sf.Basis(("other",), B.labels))
+    with pytest.raises(sf.BasisMismatchError):
+        sf.funcalg.multiplication(kernel, phi, B, sf.fock_basis(sf.KernelSpec(2, "dirichlet"), 3))
+
+
+@pytest.mark.parametrize("D", [0, 1, 5, 40])
+def test_nat1_compressions_are_the_hardy_compression(D):
+    # the semigroup side: pi_F(sum c_n lambda_(x^n)) on Y_F, F = {x^D} in nat(1),
+    # assembled with compress, scale and + (no code shared with multiplication);
+    # Hardy monomials all have norm 1, so the two agree entry for entry
+    rng = np.random.default_rng(D)
+    c = rng.normal(size=D + 3) + 1j * rng.normal(size=D + 3)
+    table = sf.enumerate_monoid(sf.nat(1), D + 2)
+    sub = sf.build_Y(table, [table.element_from_word((0,) * D)])
+    total = sub.compress(table.element_from_word(())).scale(c[0])
+    for n in range(1, D + 3):  # lambda_(x^n) for n > D compresses to 0
+        total = total + sub.compress(table.element_from_word((0,) * n)).scale(c[n])
+    basis = sf.fock_basis(sf.hardy(), D)
+    hardy = sf.funcalg.multiplication(sf.hardy(), poly(1, {(n,): c[n] for n in range(D + 3)}), basis, basis)
+    assert np.array_equal(total.indptr, hardy.indptr) and np.array_equal(total.indices, hardy.indices)
+    assert np.array_equal(total.data, hardy.data)
 
 
 @pytest.mark.parametrize("d, D", [(2, 6), (3, 6)])
