@@ -1,7 +1,7 @@
 """Frontier harness: the semifd CLI end to end on the frontier configs, each run in a fresh interpreter.
 
-    python frontier/run.py --out BENCH_<n>.json [--k 3] [--rows SUBSTRING ...] [--src LABEL=DIR ...]
-    python frontier/run.py --compare A.json[:LABEL] B.json[:LABEL]
+    python frontier/run.py --out BENCH_<n>.json [--k 3] [--src LABEL=DIR ...]
+    python frontier/run.py --compare A.json:LABEL B.json:LABEL
 
 A row is one CLI config with its options, or the import of ``semifd.cli`` alone. Each row runs k times, interleaved
 across rows and across the source trees named by ``--src`` (default: ``change`` = this checkout's ``src``), with the
@@ -9,8 +9,8 @@ sides' order rotated each round. Every run is ``python -m semifd.cli --timing`` 
 OpenMP pinned to one thread; it records the wall time (imports included), the report's own ms, the peak RSS of the
 child from ``os.wait4`` and the exit status. The output JSON holds the host facts and every run.
 
-``--compare`` prints, for each row both files hold, the median wall time, command ms and peak RSS of each side with
-the spread (min-max) of each, and the ratio B / A of the medians.
+``--compare`` prints, for each row both files hold, the median wall time, command ms and peak RSS of side LABEL of each
+file with the spread (min-max) of each, and the ratio B / A of the medians.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import tempfile
 import time
 from pathlib import Path
 
+# perfbench/run.py's THREAD_VARS, each pinned to one thread in every child
 PINS = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                          "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -93,29 +94,23 @@ def measure(rows, sides: dict, k: int) -> dict:
     return out
 
 
-def _side(spec: str) -> tuple[dict, str]:
-    path, _, label = (spec, "", "") if Path(spec).exists() else spec.rpartition(":")
-    doc = json.loads(Path(path).read_text())
-    return doc, label or doc["sides"][-1]
-
-
 def compare(a: str, b: str) -> list[str]:
     """Per-row medians and spreads of the two sides, and the ratio B / A of the medians."""
-    (da, la), (db, lb) = _side(a), _side(b)
-    rows_b = {row["name"]: row for row in db["rows"]}
+    (pa, la), (pb, lb) = a.rsplit(":", 1), b.rsplit(":", 1)
+    rows_b = {row["name"]: row for row in json.loads(Path(pb).read_text())["rows"]}
     lines = ["%-28s %-12s %24s %24s %7s" % ("row", "metric", "A median (min-max)", "B median (min-max)", "B/A")]
-    for row in da["rows"]:
-        if row["name"] not in rows_b or la not in row["runs"] or lb not in rows_b[row["name"]]["runs"]:
+    for row in json.loads(Path(pa).read_text())["rows"]:
+        if row["name"] not in rows_b:
             continue
         runs_a, runs_b = row["runs"][la], rows_b[row["name"]]["runs"][lb]
         for metric in ("wall_s", "cmd_ms", "peak_rss_mb"):
             xa = [x[metric] for x in runs_a if x[metric] is not None]
             xb = [x[metric] for x in runs_b if x[metric] is not None]
-            if not xa or not xb:
+            if not xa or not xb:  # no report: the import row, or a run that failed
                 continue
-            ma, mb = statistics.median(xa), statistics.median(xb)
             cells = ["%.4g (%.4g-%.4g)" % (statistics.median(x), min(x), max(x)) for x in (xa, xb)]
-            lines.append("%-28s %-12s %24s %24s %7.3f" % (row["name"], metric, *cells, mb / ma if ma else float("nan")))
+            ratio = statistics.median(xb) / statistics.median(xa)
+            lines.append("%-28s %-12s %24s %24s %7.3f" % (row["name"], metric, *cells, ratio))
         statuses = sorted({x["status"] for x in runs_a}), sorted({x["status"] for x in runs_b})
         lines.append("%-28s %-12s %24s %24s" % (row["name"], "status", *map(str, statuses)))
     return lines
@@ -125,9 +120,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--k", type=int, default=3, help="runs per row and side")
-    parser.add_argument("--rows", nargs="*", default=[], help="run only rows whose name contains one of these")
     parser.add_argument("--src", action="append", default=[], metavar="LABEL=DIR", help="a source tree to run")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="FILE[:LABEL] twice; print per-row ratios")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="FILE:LABEL twice; print per-row ratios")
     args = parser.parse_args(argv)
     if args.compare:
         print("\n".join(compare(*args.compare)))
@@ -135,13 +129,7 @@ def main(argv=None) -> int:
     if not args.out or args.k < 1:
         parser.error("--out and a positive --k are needed to run")
     sides = dict(s.split("=", 1) for s in args.src) or {"change": str(SRC)}
-    rows = [r for r in ROWS if not args.rows or any(s in r[0] for s in args.rows)]
-    doc = measure(rows, sides, args.k)
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    for row in doc["rows"]:
-        for side, runs in row["runs"].items():
-            print("%-28s %-8s wall %s  status %s" % (row["name"], side, " ".join("%.3f" % x["wall_s"] for x in runs),
-                                                     sorted({x["status"] for x in runs})))
+    Path(args.out).write_text(json.dumps(measure(ROWS, sides, args.k), indent=1) + "\n")
     return 0
 
 

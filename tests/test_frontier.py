@@ -32,7 +32,7 @@ def test_harness_writes_its_schema(tmp_path, capsys):
             assert isinstance(run["wall_s"], float) and isinstance(run["peak_rss_mb"], float)
             assert (run["cmd_ms"] is None) == (status == 2)
     capsys.readouterr()
-    assert frontier.main(["--compare", str(out), "%s:change" % out]) == 0
+    assert frontier.main(["--compare", "%s:change" % out, "%s:change" % out]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines[1:]] == [
         ["enumerate-nat1-L3", "wall_s"], ["enumerate-nat1-L3", "cmd_ms"], ["enumerate-nat1-L3", "peak_rss_mb"],
