@@ -5,9 +5,9 @@
 
 A row is one CLI config with its options, or the import of ``semifd.cli`` alone. Each row runs k times, interleaved
 across rows and across the source trees named by ``--src`` (default: ``change`` = this checkout's ``src``), with the
-sides' order rotated each round. Every run is ``python -m semifd.cli --timing`` in a new interpreter with BLAS and
-OpenMP pinned to one thread; it records the wall time (imports included), the report's own ms, the peak RSS of the
-child from ``os.wait4`` and the exit status. The output JSON holds the host facts and every run.
+sides' order rotated each round. Every run is ``semifd.cli`` run as ``__main__`` with ``--timing``, in a new
+interpreter with BLAS and OpenMP pinned to one thread; it records the wall time (imports included), the report's own
+ms, the child's peak RSS and the exit status. The output JSON holds the host facts and every run.
 
 ``--compare`` prints, for each row both files hold, the median wall time, command ms and peak RSS of side LABEL of each
 file with the spread (min-max) of each, and the ratio B / A of the medians.
@@ -30,9 +30,24 @@ from pathlib import Path
 PINS = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                          "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
 SRC = Path(__file__).resolve().parents[1] / "src"
+# Each child writes its own peak RSS (VmHWM, kB) at exit. The ru_maxrss of a child from os.wait4 is no lower than
+# the harness's own RSS when it forked, since Linux carries the high-water mark from before exec into it.
+CHILD = """import atexit, runpy, sys
+path = sys.argv.pop(1)
+def hwm():
+    with open("/proc/self/status") as fh, open(path, "w") as out:
+        out.write(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+atexit.register(hwm)
+if len(sys.argv) > 1:
+    runpy.run_module("semifd.cli", run_name="__main__", alter_sys=True)
+else:
+    import semifd.cli
+"""
 DA2 = [{"exponents": [0, 0], "re": 1.0}, {"exponents": [1, 0], "re": 1.0}, {"exponents": [1, 1], "re": 1.0}]
 
-# (name, config or None for the import alone, extra CLI options): the frontier table of ROADMAP.md
+# (name, config or None for the import alone, extra CLI options): the frontier table of ROADMAP.md, then the rows
+# beyond it, which need a larger cap
+BEYOND = ["--max-words", "100000000"]
 ROWS = [
     ("import", None, []),
     ("enumerate-nat3-L80", {"command": "enumerate", "presentation": {"builtin": "nat", "d": 3}, "L": 80}, []),
@@ -49,27 +64,33 @@ ROWS = [
     ("funcalg-da2-D120", {"command": "funcalg", "kernel": {"name": "drury_arveson", "d": 2}, "phi": DA2, "D": 120}, []),
     ("funcalg-da2-D200-cap1e7", {"command": "funcalg", "kernel": {"name": "drury_arveson", "d": 2}, "phi": DA2, "D": 200},
      ["--max-words", "10000000"]),
+    ("enumerate-braid4-L16-cap1e8", {"command": "enumerate", "presentation": {"builtin": "braid", "n": 4}, "L": 16},
+     BEYOND),
+    ("divisors-braid4-L12-cap1e8", {"command": "divisors", "presentation": {"builtin": "braid", "n": 4}, "L": 12},
+     BEYOND),
+    ("coaction-braid4-LP12-LQ80-cap1e8",
+     {"command": "coaction", "presentation": {"builtin": "braid", "n": 4}, "map": "length", "L_P": 12, "L_Q": 80},
+     BEYOND),
 ]
 
 
 def run_one(src: Path, config, args, tmp: Path) -> dict:
-    """One run in a fresh interpreter: wall s, the report's ms (None without a report), peak RSS MB, exit status."""
-    report = tmp / "report.json"
+    """One run in a fresh interpreter: wall s, the report's ms (None without a report), peak RSS MB (None if the child
+    was killed before it could write it), exit status."""
+    report, hwm = tmp / "report.json", tmp / "hwm"
     report.unlink(missing_ok=True)
-    if config is None:
-        argv = [sys.executable, "-c", "import semifd.cli"]
-    else:
+    hwm.unlink(missing_ok=True)
+    argv = [sys.executable, "-c", CHILD, str(hwm)]
+    if config is not None:
         (tmp / "config.json").write_text(json.dumps(config))
-        argv = [sys.executable, "-m", "semifd.cli", "--config", str(tmp / "config.json"), "--out", str(report),
-                "--timing", *args]
+        argv += ["--config", str(tmp / "config.json"), "--out", str(report), "--timing", *args]
     env = {**os.environ, **PINS, "PYTHONPATH": str(src)}
     t0 = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, wait_status, usage = os.wait4(proc.pid, 0)
+    status = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
     wall = time.perf_counter() - t0
-    proc.returncode = status = os.waitstatus_to_exitcode(wait_status)  # reaped here, not by Popen
     ms = json.loads(report.read_text())["ms"] if report.exists() else None
-    return {"wall_s": wall, "cmd_ms": ms, "peak_rss_mb": usage.ru_maxrss / 1024, "status": status}
+    return {"wall_s": wall, "cmd_ms": ms, "peak_rss_mb": int(hwm.read_text()) / 1024 if hwm.exists() else None,
+            "status": status}
 
 
 def host_facts() -> dict:

@@ -14,15 +14,27 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from . import coaction as coact
-from . import fdapprox, funcalg
 from .enumeration import abelianization, enumerate_monoid, length_map
 from .errors import InputError, InvariantError, ResourceLimitError
-from .funcalg import KernelSpec, Polynomial
-from .linrep import Basis, _csr, operator_norm
-from .presentations import MonoidPresentation, builtin, free, parse_presentation
+from .presentations import MonoidPresentation, builtin, free, parse_presentation, presentation_from_doc
+
+
+def _load_numeric():
+    """Import the numeric layers, and numpy with them; the table commands never call this. operator_norm is bound
+    here only if unbound, so a patch or a tracer's wrapper set on this module stays, and as linrep defines it: a
+    tracer that wrapped linrep's first is unwrapped, so that it wraps this name with the same wrapper."""
+    global np, coact, fdapprox, funcalg, linrep
+    import numpy as np
+
+    from . import coaction as coact, fdapprox, funcalg, linrep
+    norm = linrep.operator_norm
+    return globals().setdefault("operator_norm", getattr(norm, "__wrapped__", norm))
+
+
+def __getattr__(name):  # PEP 562: cli.operator_norm resolves before any numeric command has run
+    if name == "operator_norm":
+        return _load_numeric()
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _builtin(kind, params: dict, max_words: int) -> MonoidPresentation:
@@ -61,7 +73,7 @@ def _load_presentation(cfg, max_words: int) -> MonoidPresentation:
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes that are not UTF-8
             raise InputError("cannot load presentation: %s" % exc)
     if "generators" in cfg:
-        return parse_presentation(json.dumps(cfg))
+        return presentation_from_doc(cfg)
     raise InputError('"presentation" needs "builtin", "path" or inline "generators"')
 
 
@@ -101,26 +113,26 @@ def _F_words(pres: MonoidPresentation, raw, max_words: int) -> list:
     return out
 
 
-def _load_kernel(cfg) -> KernelSpec:
+def _load_kernel(cfg) -> funcalg.KernelSpec:
     if isinstance(cfg, str):
         cfg = {"name": cfg}
     if not isinstance(cfg, dict) or "name" not in cfg:
         raise InputError('"kernel" must be a name or an object with "name"')
     d = _count(cfg, "d", 1)  # 0 is refused by KernelSpec
     if cfg["name"] != "custom":
-        return KernelSpec(d, cfg["name"])
+        return funcalg.KernelSpec(d, cfg["name"])
     if not isinstance(cfg.get("coefficients"), list) or not all(map(_is_number, cfg["coefficients"])):
         raise InputError('custom kernel "coefficients" must be a list of finite numbers')
-    return KernelSpec(d, "custom", tuple(map(float, cfg["coefficients"])))
+    return funcalg.KernelSpec(d, "custom", tuple(map(float, cfg["coefficients"])))
 
 
-def _load_polynomial(cfg, d: int) -> Polynomial:
+def _load_polynomial(cfg, d: int) -> funcalg.Polynomial:
     if not isinstance(cfg, list) or not all(
         isinstance(t, dict) and _is_number(t.get("re", 0.0)) and _is_number(t.get("im", 0.0)) for t in cfg
     ):
         raise InputError('"phi" must be a list of {"exponents", "re", "im"} terms, re and im finite numbers')
     try:
-        return Polynomial.parse_terms(d, cfg)
+        return funcalg.Polynomial.parse_terms(d, cfg)
     except (KeyError, TypeError) as exc:  # a missing or non-list "exponents"
         raise InputError("bad polynomial: %s" % exc)
 
@@ -181,6 +193,7 @@ def _cmd_divisors(cfg, max_words):
 
 
 def _cmd_fdapprox(cfg, max_words, norm_tol):
+    _load_numeric()
     pres = _load_presentation(cfg.get("presentation"), max_words)
     L = _count(cfg, "L", 5)
     if not isinstance(cfg.get("F"), list) or not cfg["F"]:
@@ -213,6 +226,7 @@ def _cmd_fdapprox(cfg, max_words, norm_tol):
 
 
 def _cmd_coaction(cfg, max_words):
+    _load_numeric()
     pres = _load_presentation(cfg.get("presentation"), max_words)
     L_P = _count(cfg, "L_P", 3)
     L_Q = _count(cfg, "L_Q", 4)
@@ -249,6 +263,7 @@ def _cmd_coaction(cfg, max_words):
 
 
 def _cmd_funcalg(cfg, max_words, norm_tol):
+    _load_numeric()
     kernel = _load_kernel(cfg.get("kernel", "hardy"))
     phi = _load_polynomial(cfg.get("phi", []), kernel.d)
     D = _count(cfg, "D", 8)
@@ -266,9 +281,9 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
 
     def block(dd):  # the compression of M to degree <= dd, sliced from its CSR arrays
         k = math.comb(dd + kernel.d, kernel.d)
-        keep, basis = M.indices[: M.indptr[k]] < k, Basis(top.tag, top.labels[:k])
+        keep, basis = M.indices[: M.indptr[k]] < k, linrep.Basis(top.tag, top.array[:k])
         indptr = np.append(0, keep.cumsum())[M.indptr[: k + 1]]  # kept entries before each row
-        return _csr(basis, basis, indptr, M.indices[: len(keep)][keep], M.data[: len(keep)][keep])
+        return linrep._csr(basis, basis, indptr, M.indices[: len(keep)][keep], M.data[: len(keep)][keep])
 
     def norm_ladder():
         ladder = sorted({D // 4 or D, D // 2 or D, D})  # no rung above D
@@ -283,8 +298,8 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
         # G* (P M_phi P) G = P M_{phi o conj(zeta)} P on degree <= 8, G = diag(zeta^|alpha|), entry by entry on the
         # CSR arrays: on their common pattern, or else on the union, where the sum 0 + x - r is x - r, x or -r
         A = block(min(D, 8))
-        op = functools.partial(_csr, A.domain, A.domain)  # an operator on A's basis from CSR arrays
-        rows, degrees = A._rows(), np.array([sum(a) for a in A.domain.labels])
+        op = functools.partial(linrep._csr, A.domain, A.domain)  # an operator on A's basis from CSR arrays
+        rows, degrees = A._rows(), A.domain.array.sum(axis=1)
         bound = 1e-12 * max(1.0, float(abs(A.data.view(float)).max(initial=0.0)))  # A's largest re or im part
         zetas = [complex(np.exp(2j * np.pi * k / 8)) for k in range(8)]
         rotated = [funcalg.circle_action(phi, zeta.conjugate()) for zeta in zetas]
@@ -301,7 +316,7 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
 
     def grading():
         components, qdim = funcalg.n_coaction(phi, F)
-        total = Polynomial(phi.d, {})
+        total = funcalg.Polynomial(phi.d, {})
         for _, part in components:
             total = total + part
         if total != phi:

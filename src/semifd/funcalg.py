@@ -149,18 +149,17 @@ def monomial_norm(kernel: KernelSpec, alpha: Multidx) -> float:
     return math.sqrt(math.exp(-log_multinom) / kernel.c(n))
 
 
-def _compositions(d: int, n: int) -> list[Multidx]:
-    """Exponent vectors of degree n in d variables, lex ascending."""
-    if d == 1:
-        return [(n,)]
-    return [(k,) + rest for k in range(n + 1) for rest in _compositions(d - 1, n - k)]
-
-
 def fock_basis(kernel: KernelSpec, D: int) -> Basis:
-    """Normalized monomial basis up to degree D, ordered by degree then lex."""
+    """Normalized monomial basis up to degree D, ordered by degree then lex, its exponent vectors the rows of one
+    int64 array: every vector of degree <= D, lex ascending (each row repeated once per value its next entry can
+    take), then stably sorted by degree."""
     kernel.c(max(D, 0))  # fail early if the degree is out of range
-    labels = tuple(a for n in range(D + 1) for a in _compositions(kernel.d, n))
-    return Basis(("fock", kernel.fingerprint), labels)
+    x = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(kernel.d):
+        counts = D + 1 - x.sum(axis=1)
+        starts = np.repeat(counts.cumsum() - counts, counts)
+        x = np.column_stack((x.repeat(counts, axis=0), np.arange(counts.sum(), dtype=np.int64) - starts))
+    return Basis(("fock", kernel.fingerprint), x[np.argsort(x.sum(axis=1), kind="stable")])
 
 
 def multiplication(kernel: KernelSpec, phi: Polynomial, dom: Basis, cod: Basis) -> SparseOperator:
@@ -176,7 +175,7 @@ def _multiplications(kernel: KernelSpec, phis: list, dom: Basis, cod: Basis) -> 
         raise InputError("polynomial has %d variables, kernel has %d" % (bad[0], kernel.d))
     if cod.tag != ("fock", kernel.fingerprint):  # fock_basis or a leading block of it, where rows are positions
         raise BasisMismatchError("codomain is not a Fock basis of this kernel")
-    labels = np.array(cod.labels, dtype=np.int64).reshape(cod.dim, kernel.d)
+    labels = np.asarray(cod.labels if cod.array is None else cod.array, dtype=np.int64).reshape(cod.dim, kernel.d)
     top = int((n := labels.sum(axis=1)).max(initial=0))
     norms = np.sqrt(1.0 / (cn := np.array([kernel.c(k) for k in range(top + 1)])[n]))  # monomial_norm for d = 1
     if kernel.d > 1:  # monomial_norm's exact branch on arrays (the exact multinomial |alpha|!/alpha!, rounded once)

@@ -22,20 +22,24 @@ class Basis:
     Labels are hashable (element indices for l2(P) levels, exponent tuples for
     Fock-type bases) and are hashed on first lookup, except that a graded
     ball's labels are the range 0..N-1 and a tensor basis keeps its two
-    factors, so positions there are index arithmetic."""
+    factors, so positions there are index arithmetic. Labels given as the rows
+    of a 2-D int array (a Fock basis's exponent vectors) are kept as that
+    ``array`` and spelled as tuples only when ``labels`` or ``find`` asks."""
 
-    __slots__ = ("tag", "dim", "factors", "_labels", "_index")
+    __slots__ = ("tag", "dim", "factors", "array", "_labels", "_index")
 
     def __init__(self, tag: tuple, labels, factors: tuple = ()):
-        self.tag = tag
-        self.factors = factors
-        self._labels = None if factors else labels if isinstance(labels, range) else tuple(labels)
-        self.dim = factors[0].dim * factors[1].dim if factors else len(self._labels)
-        self._index = None
+        self.tag, self.factors, self._index = tag, factors, None
+        self.array = labels if isinstance(labels, np.ndarray) else None
+        lazy = factors or self.array is not None  # labels spelled on first use
+        self._labels = None if lazy else labels if isinstance(labels, range) else tuple(labels)
+        self.dim = factors[0].dim * factors[1].dim if factors else len(labels if lazy else self._labels)
 
     @property
     def labels(self):
-        if self._labels is None:
+        if self._labels is None and self.array is not None:
+            self._labels = tuple(map(tuple, self.array.tolist()))
+        elif self._labels is None:
             b1, b2 = self.factors
             self._labels = tuple((l1, l2) for l1 in b1.labels for l2 in b2.labels)
         return self._labels
@@ -49,7 +53,7 @@ class Basis:
         if isinstance(self._labels, range):
             return self._labels.index(label) if label in self._labels else -1
         if self._index is None:
-            self._index = {lab: i for i, lab in enumerate(self._labels)}
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
             if len(self._index) != self.dim:
                 raise BasisMismatchError("duplicate basis labels")
         return self._index.get(label, -1)
@@ -60,6 +64,8 @@ class Basis:
         return i
 
     def __eq__(self, other):
+        if self is other:  # an operator's own bases, without spelling their labels
+            return True
         if not isinstance(other, Basis) or self.tag != other.tag or self.dim != other.dim:
             return False
         if self.factors and other.factors:
@@ -375,3 +381,8 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     if not (width := float(np.sqrt(mu / theta)) - 1) <= tol:
         raise InvariantError("norm not certified: bracket width %.3e > tol %.3e" % (width, tol))
     return float(np.ldexp(np.sqrt(theta), e))
+
+
+# coaction and funcalg bind lambda_op and operator_norm from here by name. They load with this module, so each binds
+# the function defined here even when a caller imports this module alone and then rebinds those names (a tracer).
+from . import coaction, funcalg  # noqa: E402,F401

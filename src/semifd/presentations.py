@@ -69,15 +69,20 @@ class MonoidPresentation:
 
 
 def parse_presentation(text: str) -> MonoidPresentation:
-    """Parse the JSON presentation document format.
-
-    Expected shape: {"generators": ["a", "b"], "relations": [["a.b.a", "b.a.b"]]}
-    where each relation word is a "."-separated concatenation of generator names.
-    """
+    """Parse the JSON presentation document format (see presentation_from_doc)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PresentationError("malformed presentation document: %s" % exc)
+    return presentation_from_doc(doc)
+
+
+def presentation_from_doc(doc) -> MonoidPresentation:
+    """A presentation from its parsed JSON document.
+
+    Expected shape: {"generators": ["a", "b"], "relations": [["a.b.a", "b.a.b"]]}
+    where each relation word is a "."-separated concatenation of generator names.
+    """
     if not isinstance(doc, dict):
         raise PresentationError("presentation document must be an object")
     gens = doc.get("generators")

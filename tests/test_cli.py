@@ -289,6 +289,34 @@ def test_inline_presentation_document(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc",
+    [
+        {"generators": "ab"},
+        {"generators": ["a", 1]},
+        {"generators": []},
+        {"generators": ["a", "a"]},
+        {"generators": ["a", ""]},
+        {"generators": ["a.b"], "relations": [["a.b", "a.b"]]},
+        {"generators": ["a", "b"], "relations": {"a": "b"}},
+        {"generators": ["a", "b"], "relations": [["a.b", 3]]},
+        {"generators": ["a", "b"], "relations": [["a.b"]]},
+        {"generators": ["a", "b"], "relations": [["a.c", "b.a"]]},
+        {"generators": ["a", "b"], "relations": [["a.b", "a"]]},
+    ],
+)
+def test_inline_and_path_presentations_refuse_alike(tmp_path, capsys, doc):
+    # the inline document is read as it stands, the file's after json.loads: the same refusal either way
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps(doc))
+    errors = []
+    for presentation in (doc, {"path": str(path)}):
+        status, report, err = run(tmp_path, capsys, {"command": "enumerate", "presentation": presentation, "L": 2})
+        assert status == 2 and report is None and err.startswith("config error: ") and err.count("\n") == 1
+        errors.append(err)
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize(
     "config",
     [
         {"command": "enumerate", "presentation": {"builtin": "braid", "n": 3}, "L": -1},
@@ -445,6 +473,42 @@ def test_scipy_loads_only_for_norms(tmp_path):
     assert result["before"] == []
     assert "scipy.linalg" in result["after"] and not [k for k in result["after"] if k.startswith("scipy.sparse")]
     assert "scipy.sparse.linalg" not in result["da"] and not [k for k in result["da"] if k.startswith("scipy.sparse")]
+
+
+def test_numpy_loads_only_for_numeric_commands(tmp_path):
+    # in a fresh interpreter: the table commands run without numpy, the first numeric command loads it, and every
+    # name the package exports resolves to the object its own module defines
+    configs = [
+        {"command": "enumerate", "presentation": {"builtin": "braid", "n": 3}, "L": 4},
+        {"command": "divisors", "presentation": {"builtin": "free", "n": 2}, "L": 4},
+        {"command": "coaction", "presentation": {"builtin": "braid", "n": 3}, "map": "length", "L_P": 3, "L_Q": 4},
+    ]
+    paths = [tmp_path / ("config_%d.json" % k) for k in range(len(configs))]
+    for path, config in zip(paths, configs):
+        path.write_text(json.dumps(config))
+    script = textwrap.dedent(
+        """
+        import importlib, json, sys
+        from semifd.cli import main
+        loaded = lambda: sorted(k for k in ("numpy", "scipy") if k in sys.modules)
+        *paths, out = sys.argv[1:]
+        seen, statuses = [loaded()], []
+        for path in paths:
+            statuses.append(main(["--config", path, "--out", out]))
+            seen.append(loaded())
+        import semifd
+        objects = {name: getattr(semifd, name) for name in semifd.__all__}
+        wrong = [name for name, obj in objects.items() if not obj.__module__.startswith("semifd.")
+                 or getattr(importlib.import_module(obj.__module__), name) is not obj]
+        print(json.dumps({"statuses": statuses, "seen": seen, "wrong": wrong, "all": semifd.__all__}))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-c", script, *map(str, paths), str(tmp_path / "report.json")]
+    result = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=300).stdout)
+    assert result["statuses"] == [0, 0, 0]
+    assert result["seen"] == [[], [], [], ["numpy"]]
+    assert result["wrong"] == [] and result["all"] == sorted(result["all"]) and len(result["all"]) == 59
 
 
 def test_fock_dimension_cap_trips_before_any_basis(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 RUN = Path(__file__).resolve().parents[1] / "frontier" / "run.py"
-TINY = [
+TINY = [  # the second loads numpy before it refuses D
     ("enumerate-nat1-L3", {"command": "enumerate", "presentation": {"builtin": "nat", "d": 1}, "L": 3}, []),
     ("funcalg-bad-D", {"command": "funcalg", "kernel": "hardy", "D": -1}, []),  # exit 2, no report
 ]
@@ -31,6 +31,9 @@ def test_harness_writes_its_schema(tmp_path, capsys):
             assert set(run) == {"wall_s", "cmd_ms", "peak_rss_mb", "status"} and run["status"] == status
             assert isinstance(run["wall_s"], float) and isinstance(run["peak_rss_mb"], float)
             assert (run["cmd_ms"] is None) == (status == 2)
+    # each child's own peak RSS, not the harness's: the table command never loads numpy, the funcalg one does
+    (quick, numeric) = ([run["peak_rss_mb"] for run in row["runs"]["change"]] for row in doc["rows"])
+    assert max(quick) < min(numeric)
     capsys.readouterr()
     assert frontier.main(["--compare", "%s:change" % out, "%s:change" % out]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -108,6 +108,18 @@ def test_fock_basis_dimension_and_lex_order(d, D):
     assert list(labels) == brute
 
 
+def test_fock_basis_keeps_one_int_array():
+    # the exponent vectors are one int64 array; tuples are spelled only for labels and find, and equal the array's
+    b = sf.fock_basis(sf.drury_arveson(3), 6)
+    assert b.array.dtype == np.int64 and b.array.shape == (math.comb(9, 3), 3) and b._labels is None
+    assert b.find((1, 2, 3)) == b.labels.index((1, 2, 3)) and b.find((7, 0, 0)) == -1
+    assert b.labels == tuple(map(tuple, b.array.tolist()))
+    spelled = sf.Basis(b.tag, b.labels)
+    assert spelled == b and b == spelled and spelled.array is None
+    assert sf.funcalg.multiplication(sf.drury_arveson(3), sf.Polynomial(3, {(1, 0, 2): 1 - 2j}), b, spelled) == (
+        sf.funcalg.multiplication(sf.drury_arveson(3), sf.Polynomial(3, {(1, 0, 2): 1 - 2j}), b, b))
+
+
 # -- multiplication operators --------------------------------------------------------
 
 
