@@ -32,8 +32,8 @@ def test_harness_writes_its_schema(tmp_path, capsys):
             assert isinstance(run["wall_s"], float) and isinstance(run["peak_rss_mb"], float)
             assert (run["cmd_ms"] is None) == (status == 2)
     # each child's own peak RSS, not the harness's: the table command never loads numpy, the funcalg one does
-    (quick, numeric) = ([run["peak_rss_mb"] for run in row["runs"]["change"]] for row in doc["rows"])
-    assert max(quick) < min(numeric)
+    table, numeric = ([run["peak_rss_mb"] for run in row["runs"]["change"]] for row in doc["rows"])
+    assert max(table) < min(numeric)
     capsys.readouterr()
     assert frontier.main(["--compare", "%s:change" % out, "%s:change" % out]) == 0
     lines = capsys.readouterr().out.splitlines()
