@@ -23,9 +23,7 @@ def _load_numeric():
     """Import the numeric layers, and numpy with them; the table commands never call this. operator_norm is bound
     here only if unbound, so a patch or a tracer's wrapper set on this module stays, and as linrep defines it: a
     tracer that wrapped linrep's first is unwrapped, so that it wraps this name with the same wrapper."""
-    global np, coact, fdapprox, funcalg, linrep
-    import numpy as np
-
+    global coact, fdapprox, funcalg, linrep
     from . import coaction as coact, fdapprox, funcalg, linrep
     norm = linrep.operator_norm
     return globals().setdefault("operator_norm", getattr(norm, "__wrapped__", norm))
@@ -279,40 +277,15 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
     top = funcalg.fock_basis(kernel, D)  # ordered by degree: each lower degree's compression is a leading block of M
     M = funcalg.multiplication(kernel, phi, top, top)
 
-    def block(dd):  # the compression of M to degree <= dd, sliced from its CSR arrays
-        k = math.comb(dd + kernel.d, kernel.d)
-        keep, basis = M.indices[: M.indptr[k]] < k, linrep.Basis(top.tag, top.array[:k])
-        indptr = np.append(0, keep.cumsum())[M.indptr[: k + 1]]  # kept entries before each row
-        return linrep._csr(basis, basis, indptr, M.indices[: len(keep)][keep], M.data[: len(keep)][keep])
-
     def norm_ladder():
         ladder = sorted({D // 4 or D, D // 2 or D, D})  # no rung above D
-        values = [operator_norm(block(dd), norm_tol, max_words) for dd in ladder]
+        blocks = (M.leading_block(math.comb(dd + kernel.d, kernel.d)) for dd in ladder)  # compressions to degree <= dd
+        values = [operator_norm(A, norm_tol, max_words) for A in blocks]
         for lo, hi in zip(values, values[1:]):
             if not lo <= hi + 1e-10:  # NaN fails
                 raise InvariantError("compression norms decreased along %r" % (ladder,))
         tables["norm_lower_bounds"] = [[dd, v] for dd, v in zip(ladder, values)]
         return {"D": D, "norm_lower": values[-1]}
-
-    def covariance():
-        # G* (P M_phi P) G = P M_{phi o conj(zeta)} P on degree <= 8, G = diag(zeta^|alpha|), entry by entry on the
-        # CSR arrays: on their common pattern, or else on the union, where the sum 0 + x - r is x - r, x or -r
-        A = block(min(D, 8))
-        op = functools.partial(linrep._csr, A.domain, A.domain)  # an operator on A's basis from CSR arrays
-        rows, degrees = A._rows(), A.domain.array.sum(axis=1)
-        bound = 1e-12 * max(1.0, float(abs(A.data.view(float)).max(initial=0.0)))  # A's largest re or im part
-        zetas = [complex(np.exp(2j * np.pi * k / 8)) for k in range(8)]
-        rotated = [funcalg.circle_action(phi, zeta.conjugate()) for zeta in zetas]
-        for k, (zeta, R) in enumerate(zip(zetas, funcalg._multiplications(kernel, rotated, A.domain, A.domain))):
-            G = zeta**degrees
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite err fails below
-                x = G.conj()[rows] * A.data * G[A.indices]
-                same = np.array_equal(R.indptr, A.indptr) and np.array_equal(R.indices, A.indices)
-                x = x - R.data if same else (op(A.indptr, A.indices, x) + op(R.indptr, R.indices, -R.data)).data
-                err = float(np.abs(x).max(initial=0.0))
-            if not err <= bound < np.inf:  # NaN and inf fail
-                raise InvariantError("covariance violated at 8th root %d: err %r" % (k, err))
-        return "within 1e-12"
 
     def grading():
         components, qdim = funcalg.n_coaction(phi, F)
@@ -327,7 +300,8 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
         return "reconstructed"
 
     runner.run("norm-monotone", norm_ladder)
-    runner.run("circle-covariance", covariance)
+    low = M.leading_block(math.comb(min(D, 8) + kernel.d, kernel.d))  # the compression to degree <= min(D, 8)
+    runner.run("circle-covariance", lambda: funcalg.circle_covariance(kernel, phi, low))
     runner.run("grading-reconstruction", grading)
     return runner, tables
 

@@ -11,13 +11,14 @@ the additive naturals.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError, DegreeOverflowError, InputError, KernelSpecError
-from .linrep import Basis, SparseOperator, _from_coo, operator_norm
+from .errors import BasisMismatchError, DegreeOverflowError, InputError, InvariantError, KernelSpecError
+from .linrep import Basis, SparseOperator, _csr, _from_coo, operator_norm
 
 Multidx = tuple[int, ...]
 
@@ -173,8 +174,8 @@ def _multiplications(kernel: KernelSpec, phis: list, dom: Basis, cod: Basis) -> 
     """multiplication(kernel, phi, dom, cod) of each phi, bit for bit, from one norm vector and a lookup per support."""
     if bad := [phi.d for phi in phis if phi.d != kernel.d]:
         raise InputError("polynomial has %d variables, kernel has %d" % (bad[0], kernel.d))
-    if cod.tag != ("fock", kernel.fingerprint):  # fock_basis or a leading block of it, where rows are positions
-        raise BasisMismatchError("codomain is not a Fock basis of this kernel")
+    if cod.tag != ("fock", kernel.fingerprint) or dom.tag != cod.tag:  # fock_basis or a leading block of it
+        raise BasisMismatchError("domain or codomain is not a Fock basis of this kernel")
     labels = np.asarray(cod.labels if cod.array is None else cod.array, dtype=np.int64).reshape(cod.dim, kernel.d)
     top = int((n := labels.sum(axis=1)).max(initial=0))
     norms = np.sqrt(1.0 / (cn := np.array([kernel.c(k) for k in range(top + 1)])[n]))  # monomial_norm for d = 1
@@ -238,7 +239,7 @@ def homogeneous_decompose(phi: Polynomial) -> list[tuple[int, Polynomial]]:
 
 def circle_action(phi: Polynomial, zeta: complex) -> Polynomial:
     """Precompose with rotation by zeta: the degree-n part picks up zeta^n."""
-    if abs(abs(zeta) - 1.0) > 1e-12:
+    if not abs(abs(zeta) - 1.0) <= 1e-12:  # NaN fails
         raise InputError("rotation parameter must be unimodular, got |zeta| = %r" % abs(zeta))
     return Polynomial(
         phi.d, {alpha: (zeta ** sum(alpha)) * c for alpha, c in phi.coeffs.items()}
@@ -247,12 +248,33 @@ def circle_action(phi: Polynomial, zeta: complex) -> Polynomial:
 
 def circle_action_matrix(kernel: KernelSpec, D: int, zeta: complex) -> SparseOperator:
     """The diagonal unitary diag(zeta^{|alpha|}) on the degree<=D basis."""
-    if abs(abs(zeta) - 1.0) > 1e-12:
+    if not abs(abs(zeta) - 1.0) <= 1e-12:  # NaN fails
         raise InputError("rotation parameter must be unimodular, got |zeta| = %r" % abs(zeta))
     basis = fock_basis(kernel, D)
     return SparseOperator(
         basis, basis, {(i, i): zeta ** sum(a) for i, a in enumerate(basis.labels)}
     )
+
+
+def circle_covariance(kernel: KernelSpec, phi: Polynomial, A: SparseOperator) -> str:
+    """G* A G = P M_{phi o conj(zeta)} P at each 8th root zeta, G = diag(zeta^|alpha|), for A = P M_phi P on a leading
+    block of a Fock basis: entry by entry on the CSR arrays, on their common pattern or else on the union, where the sum
+    0 + x - r is x - r, x or -r. Within 1e-12 max(1, A's largest re or im part); a non-finite error fails."""
+    op = functools.partial(_csr, A.domain, A.domain)  # an operator on A's basis from CSR arrays
+    rows, degrees = A._rows(), A.domain.array.sum(axis=1)
+    bound = 1e-12 * max(1.0, float(abs(A.data.view(float)).max(initial=0.0)))  # A's largest re or im part
+    zetas = [complex(np.exp(2j * np.pi * k / 8)) for k in range(8)]
+    rotated = [circle_action(phi, zeta.conjugate()) for zeta in zetas]
+    for k, (zeta, R) in enumerate(zip(zetas, _multiplications(kernel, rotated, A.domain, A.domain))):
+        G = zeta**degrees
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite err fails below
+            x = G.conj()[rows] * A.data * G[A.indices]
+            same = np.array_equal(R.indptr, A.indptr) and np.array_equal(R.indices, A.indices)
+            x = x - R.data if same else (op(A.indptr, A.indices, x) + op(R.indptr, R.indices, -R.data)).data
+            err = float(np.abs(x).max(initial=0.0))
+        if not err <= bound < np.inf:  # NaN and inf fail
+            raise InvariantError("covariance violated at 8th root %d: err %r" % (k, err))
+    return "within 1e-12"
 
 
 def n_coaction(phi: Polynomial, F=()) -> tuple[list[tuple[int, Polynomial]], int]:

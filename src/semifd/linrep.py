@@ -142,6 +142,17 @@ class SparseOperator:
         """Re-express with a larger codomain containing every current label."""
         return inclusion(self.codomain, new_codomain) @ self
 
+    def leading_block(self, k: int) -> "SparseOperator":
+        """The compression to the first k vectors of the basis, of an operator whose domain is its codomain, sliced from
+        the CSR arrays. Its basis keeps the tag, with the prefix of the labels or of the array."""
+        if self.domain != self.codomain or not 0 <= k <= self.domain.dim:
+            raise BasisMismatchError("no leading block of %d vectors: domain and codomain differ, or are smaller" % k)
+        b = self.domain
+        basis = Basis(b.tag, b.labels[:k] if b.array is None else b.array[:k])
+        keep = self.indices[: self.indptr[k]] < k
+        indptr = np.append(0, keep.cumsum())[self.indptr[: k + 1]]  # kept entries before each row
+        return _csr(basis, basis, indptr, self.indices[: len(keep)][keep], self.data[: len(keep)][keep])
+
     # -- queries ---------------------------------------------------------------
 
     def __eq__(self, other):

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -658,6 +659,29 @@ def test_funcalg_job_builds_one_basis_and_one_operator(tmp_path, capsys, monkeyp
     assert [dd for dd, _ in report["tables"]["norm_lower_bounds"]] == [100, 200, 400]
     assert [name for name, _ in calls] == ["fock_basis", "multiplication"]
     assert calls[1][1][1] == cli._load_polynomial(terms, 1)  # multiplication(kernel, phi, top, top)
+
+
+def test_cli_reads_the_numeric_layers_through_their_public_names():
+    # the CLI imports no numpy, and reaches linrep, funcalg, fdapprox and coaction through public
+    # names only: the CSR layout and the operators' arrays are read in linrep and funcalg alone
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    layers, imported = {"linrep", "funcalg", "fdapprox", "coaction"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            if node.level and node.module in layers:  # from .linrep import name
+                assert not [a.name for a in node.names if a.name.startswith("_")], ast.unparse(node)
+            elif node.level:  # from . import linrep as alias
+                layers |= {a.asname or a.name for a in node.names if a.name in layers}
+    assert "coact" in layers and not [m for m in imported if m.split(".")[0] == "numpy"]
+    private = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id in layers and node.attr.startswith("_")]
+    arrays = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in ("indptr", "indices", "data")]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert private == [] and arrays == [] and "np" not in names
 
 
 @pytest.mark.parametrize(

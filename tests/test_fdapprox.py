@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import semifd as sf
+from semifd.linrep import partial_map
 
 from oracles import brute_right_divisors, table_coinvariant
 
@@ -97,6 +98,32 @@ def test_nesting_compression(braid3):
     incl = sf.inclusion(small.basis, big.basis)
     for s in braid3.elements_up_to(3):
         assert incl.adjoint() @ big.compress(s) @ incl == small.compress(s)
+
+
+@pytest.mark.parametrize(
+    "pres, R, radii",
+    [(sf.braid(4), 8, (3, 5, 8)), (sf.free(2), 10, (3, 6, 10)), (sf.nat(2), 20, (5, 10, 20))],
+    ids=["braid4", "free2", "nat2"],
+)
+def test_ball_compressions_are_leading_blocks_of_one_top_operator(pres, R, radii):
+    # a ball is divisor-closed, so it is its own Y_F, and it is the index prefix of the graded
+    # basis: P_r (sum_g lambda_g) P_r is the leading block of P_R (sum_g lambda_g) P_R, r <= R.
+    # The top operator is one partial map per generator, column x -> g.x for |x| <= R - 1
+    table = sf.enumerate_monoid(pres, R)
+    ball, gens = sf.graded_basis(table, R), [table.element_from_word((i,)) for i in range(len(pres.generators))]
+    top = sf.zero_operator(ball, ball)
+    for g in gens:
+        prods = table.left_products(g, R - 1)
+        rows = np.append(prods, np.full(ball.dim - len(prods), -1))
+        top = top + partial_map(ball, ball, rows)
+    for r in radii:
+        Y = sf.build_Y(table, table.elements_up_to(r))
+        assert Y.dim == len(table.elements_up_to(r))
+        compressions = [Y.compress(g) for g in gens]
+        expected = compressions[0]
+        for op in compressions[1:]:
+            expected = expected + op
+        assert top.leading_block(Y.dim) == expected
 
 
 def test_coinvariance_entrywise(braid3):

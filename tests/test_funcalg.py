@@ -210,6 +210,40 @@ def test_multiplication_refuses_a_codomain_that_is_not_a_fock_basis():
         sf.funcalg.multiplication(kernel, phi, B, sf.fock_basis(sf.KernelSpec(2, "dirichlet"), 3))
 
 
+def test_multiplication_refuses_a_domain_that_is_not_a_fock_basis_of_the_codomains_kernel():
+    # the domain is read as a prefix of the codomain, so it must carry the codomain's tag:
+    # an l2 ball of a monoid, and a Dirichlet Fock basis under the Hardy kernel, are refused
+    kernel, z = sf.hardy(), poly(1, {(1,): 1.0})
+    cod, table = sf.fock_basis(kernel, 4), sf.enumerate_monoid(sf.free(2), 1)
+    for dom in (sf.graded_basis(table, 1), sf.fock_basis(sf.dirichlet(), 2)):
+        for call in (sf.funcalg.multiplication, lambda k, p, dom, cod: sf.funcalg._multiplications(k, [p], dom, cod)):
+            with pytest.raises(sf.BasisMismatchError, match="domain or codomain is not a Fock basis"):
+                call(kernel, z, dom, cod)
+    assert sf.funcalg.multiplication(kernel, z, sf.fock_basis(kernel, 2), cod).to_dense().shape == (5, 3)
+
+
+@pytest.mark.parametrize("zeta", [math.nan, complex(math.nan, 0), math.inf], ids=["nan", "complex-nan", "inf"])
+@pytest.mark.parametrize("rotate", ["circle_action", "circle_action_matrix"])
+def test_rotation_by_a_non_finite_parameter_is_refused(rotate, zeta):
+    # NaN compares False with everything, so the unimodular guard fails it explicitly
+    call = {"circle_action": lambda: sf.circle_action(poly(1, {(1,): 1.0}), zeta),
+            "circle_action_matrix": lambda: sf.circle_action_matrix(sf.hardy(), 2, zeta)}[rotate]
+    with pytest.raises(sf.InputError, match="must be unimodular"):
+        call()
+
+
+def test_circle_covariance_passes_on_a_leading_block_and_fails_a_wrong_block():
+    # the block of degree <= 4 of the compression to degree <= 6 is the compression to degree <= 4
+    kernel = sf.drury_arveson(2)
+    phi = poly(2, {(0, 0): 0.5 - 0.25j, (1, 0): 1.0, (1, 2): 0.75j})
+    top = sf.fock_basis(kernel, 6)
+    A, low = sf.funcalg.multiplication(kernel, phi, top, top).leading_block(math.comb(4 + 2, 2)), sf.fock_basis(kernel, 4)
+    assert A == sf.funcalg.multiplication(kernel, phi, low, low)
+    assert sf.funcalg.circle_covariance(kernel, phi, A) == "within 1e-12"
+    with pytest.raises(sf.InvariantError, match="covariance violated at 8th root 0: err "):
+        sf.funcalg.circle_covariance(kernel, phi, A.scale(1 + 1e-9))
+
+
 @pytest.mark.parametrize("D", [0, 1, 5, 40])
 def test_nat1_compressions_are_the_hardy_compression(D):
     # the semigroup side: pi_F(sum c_n lambda_(x^n)) on Y_F, F = {x^D} in nat(1),

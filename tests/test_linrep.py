@@ -552,6 +552,46 @@ def test_partial_map_is_canonical():
     assert P == sf.SparseOperator(b4, b3, {(2, 0): 1.0, (0, 2): 1.0, (2, 3): 1.0})
 
 
+LEADING_BASES = {
+    "tuples": lambda braid3: sf.Basis(("words",), [("w", i * 7 % 13) for i in range(13)]),
+    "graded": lambda braid3: sf.graded_basis(braid3, 3),
+    "fock": lambda braid3: sf.fock_basis(sf.drury_arveson(2), 3),
+}
+
+
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("basis", sorted(LEADING_BASES))
+def test_leading_block_is_the_compression_bit_for_bit(basis, seed, complex_data, braid3):
+    # the oracle is P* A P through the generic product, P the inclusion of the first k vectors,
+    # on a random square operator with empty rows, at every k from 0 to n
+    B, rng = LEADING_BASES[basis](braid3), np.random.default_rng(seed)
+    mask = rng.random((B.dim, B.dim)) < 0.4
+    mask[rng.random(B.dim) < 0.3] = False  # empty rows
+    values = rng.normal(size=(B.dim, B.dim)) + 1j * (rng.normal(size=(B.dim, B.dim)) if complex_data else 0.0)
+    A = sf.SparseOperator(B, B, {(i, j): values[i, j] for i, j in zip(*mask.nonzero())})
+    for k in range(B.dim + 1):
+        block = A.leading_block(k)
+        P = sf.inclusion(sf.Basis(B.tag, B.labels[:k]), B)
+        oracle = P.adjoint() @ A @ P
+        assert block == oracle and np.array_equal(block.data.view(np.uint64), oracle.data.view(np.uint64))
+        assert block.domain is block.codomain and block.domain.tag == B.tag
+        if B.array is not None:
+            assert np.array_equal(block.domain.array, B.array[:k])
+        assert block.domain.labels == B.labels[:k] and type(block.domain.labels) is type(B.labels)  # a range stays one
+    assert A.leading_block(B.dim) == A
+
+
+def test_leading_block_refuses_an_operator_that_is_not_square(free2):
+    lam = sf.lambda_op(free2, free2.element_from_str("a"), 2)
+    square = lam.adjoint() @ lam
+    with pytest.raises(sf.BasisMismatchError):
+        lam.leading_block(1)
+    for k in (-1, square.domain.dim + 1):
+        with pytest.raises(sf.BasisMismatchError):
+            square.leading_block(k)
+
+
 def test_tensor_index_matches_pair_enumeration(free2, braid3):
     # a tensor basis keeps its factors; positions are i * dim2 + j in first-major pair order
     b1 = sf.graded_basis(free2, 2)
