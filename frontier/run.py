@@ -1,13 +1,14 @@
 """Frontier harness: the semifd CLI end to end on the frontier configs, each run in a fresh interpreter.
 
-    python frontier/run.py --out BENCH_<n>.json [--k 3] [--src LABEL=DIR ...]
+    python frontier/run.py --out BENCH_<n>.json [--k 3] [--src LABEL=DIR ...] [ROW ...]
     python frontier/run.py --compare A.json:LABEL B.json:LABEL
 
-A row is one CLI config with its options, or the import of ``semifd.cli`` alone. Each row runs k times, interleaved
-across rows and across the source trees named by ``--src`` (default: ``change`` = this checkout's ``src``), with the
-sides' order rotated each round. Every run is ``semifd.cli`` run as ``__main__`` with ``--timing``, in a new
-interpreter with BLAS and OpenMP pinned to one thread; it records the wall time (imports included), the report's own
-ms, the child's peak RSS and the exit status. The output JSON holds the host facts and every run.
+A row is one CLI config with its options, or the import of ``semifd.cli`` alone. The ROWs named run, in the order of
+``ROWS`` (default: every row). Each row runs k times, interleaved across rows and across the source trees named by
+``--src`` (default: ``change`` = this checkout's ``src``), with the sides' order rotated each round. Every run is
+``semifd.cli`` run as ``__main__`` with ``--timing``, in a new interpreter with BLAS and OpenMP pinned to one thread;
+it records the wall time (imports included), the report's own ms, the child's peak RSS and the exit status. The output
+JSON holds the host facts and every run.
 
 ``--compare`` prints, for each row both files hold, the median wall time, command ms and peak RSS of side LABEL of each
 file with the spread (min-max) of each, and the ratio B / A of the medians.
@@ -143,14 +144,18 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=3, help="runs per row and side")
     parser.add_argument("--src", action="append", default=[], metavar="LABEL=DIR", help="a source tree to run")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="FILE:LABEL twice; print per-row ratios")
+    parser.add_argument("rows", nargs="*", metavar="ROW", help="the rows to run, by name (default: all)")
     args = parser.parse_args(argv)
     if args.compare:
         print("\n".join(compare(*args.compare)))
         return 0
     if not args.out or args.k < 1:
         parser.error("--out and a positive --k are needed to run")
+    if unknown := set(args.rows) - {name for name, _, _ in ROWS}:
+        parser.error("no such row: %s" % ", ".join(sorted(unknown)))
+    rows = [row for row in ROWS if row[0] in args.rows] if args.rows else ROWS
     sides = dict(s.split("=", 1) for s in args.src) or {"change": str(SRC)}
-    Path(args.out).write_text(json.dumps(measure(ROWS, sides, args.k), indent=1) + "\n")
+    Path(args.out).write_text(json.dumps(measure(rows, sides, args.k), indent=1) + "\n")
     return 0
 
 

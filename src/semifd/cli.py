@@ -85,6 +85,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
+def _digits(x) -> float:
+    """A computed float as a report records it: 12 significant digits, so reports reproduce byte for byte."""
+    return float("%.12g" % x)
+
+
 def _count(cfg, key: str, default: int) -> int:
     """A nonnegative integer field of the config."""
     value = cfg.get(key, default)
@@ -244,7 +249,7 @@ def _cmd_coaction(cfg, max_words):
         elems = source.elements_up_to(2)
         a = coact.AlgebraElement(source, {p: 1.0 + p.index for p in elems})
         coact.character_reconstruction(phi, a)
-        return {"support": len(elems), "character": coact.apply_character(a).real}
+        return {"support": len(elems), "character": _digits(coact.apply_character(a).real)}
 
     runner.run("fell-absorption", lambda: coact.fell_intertwiner(phi, L_P, L_Q)[1])  # (W, report)
     runner.run("character-reconstruction", reconstruction)
@@ -284,8 +289,8 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
         for lo, hi in zip(values, values[1:]):
             if not lo <= hi + 1e-10:  # NaN fails
                 raise InvariantError("compression norms decreased along %r" % (ladder,))
-        tables["norm_lower_bounds"] = [[dd, v] for dd, v in zip(ladder, values)]
-        return {"D": D, "norm_lower": values[-1]}
+        tables["norm_lower_bounds"] = rungs = [[dd, _digits(v)] for dd, v in zip(ladder, values)]
+        return {"D": D, "norm_lower": rungs[-1][1]}
 
     def grading():
         components, qdim = funcalg.n_coaction(phi, F)
@@ -315,31 +320,23 @@ _COMMANDS = {
 }
 
 
-def _round_floats(obj):
-    """12 significant digits, recursively, for byte-reproducible reports."""
-    if isinstance(obj, float):
-        return float("%.12g" % obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def execute(config: dict, args) -> tuple[dict, int]:
     command = config.get("command")
     if not isinstance(command, str) or command not in _COMMANDS:  # a list or dict is unhashable
         raise InputError('"command" must be one of %s' % sorted(_COMMANDS))
     t0 = time.monotonic()
     runner, tables = _COMMANDS[command](config, args)
-    ms = (time.monotonic() - t0) * 1000.0
-    report = {
-        "config": config,
-        "checks": runner.checks,
-        "tables": tables,
-        "ms": ms if args.timing else 0.0,
-    }
-    return _round_floats(report), int(any(c["status"] == "fail" for c in runner.checks))
+    ms = _digits((time.monotonic() - t0) * 1000.0) if args.timing else 0.0
+    report = {"config": config, "checks": runner.checks, "tables": tables, "ms": ms}  # the config as it was read
+    return report, int(any(c["status"] == "fail" for c in runner.checks))
+
+
+def _finite(text: str) -> float:
+    """A config number with a fraction or exponent. NaN, Infinity and -Infinity, which json reads but JSON does not
+    have, and numbers beyond float range, which json reads as infinite, are config errors."""
+    if not math.isfinite(value := float(text)):
+        raise InputError("config number %s is not a finite float" % text)
+    return value
 
 
 @functools.cache
@@ -371,10 +368,10 @@ def main(argv=None) -> int:
         if not args.norm_tol > 0:  # NaN fails; inf asks nothing of the bracket
             raise InputError("--norm-tol must be a positive number, got %r" % args.norm_tol)
         if args.config == "-":
-            config = json.load(sys.stdin)
+            config = json.load(sys.stdin, parse_float=_finite, parse_constant=_finite)
         else:
             with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
+                config = json.load(fh, parse_float=_finite, parse_constant=_finite)
         if not isinstance(config, dict):
             raise InputError("config must be a JSON object")
         report, status = execute(config, args)

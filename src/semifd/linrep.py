@@ -342,8 +342,9 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     for n + 1; the lesser of tr and (2kd + 1) max diag) and G's rounding. Inverse iteration with that factor
     gives v; theta is |Av|^2 / |v|^2 on A's arrays in extended precision less its rounding bound. A finite A is
     first scaled exactly by 2^-e, which puts its largest real or imaginary part in [1/2, 1), and the result by
-    2^e, so G stays in the normal range. InvariantError if G has a non-finite entry, no Cholesky succeeds or
-    sqrt(mu / theta) - 1 > tol; ResourceLimitError first if (kd + 1) n > max_words, kd of the ordered band.
+    2^e, so G stays in the normal range. InvariantError if G has a non-finite entry, no Cholesky succeeds,
+    sqrt(mu / theta) - 1 > tol or the result is not a normal float (inf, or a subnormal rounded to nearest);
+    ResourceLimitError first if (kd + 1) n > max_words, kd of the ordered band.
     """
     if A.is_zero():
         return 0.0
@@ -391,7 +392,9 @@ def operator_norm(A: SparseOperator, tol: float = 1e-9, max_words: int | None = 
     theta = sq(y) / sq(vx) * (1 - r) ** 2 * (1 - gam(4 * n + 16, uL))
     if not (width := float(np.sqrt(mu / theta)) - 1) <= tol:
         raise InvariantError("norm not certified: bracket width %.3e > tol %.3e" % (width, tol))
-    return float(np.ldexp(np.sqrt(theta), e))
+    if not np.finfo(float).tiny <= (norm := float(np.ldexp(np.sqrt(theta), e))) <= np.finfo(float).max:
+        raise InvariantError("norm not certified: %r is not a normal float" % norm)
+    return norm
 
 
 # coaction and funcalg bind lambda_op and operator_norm from here by name. They load with this module, so each binds

@@ -30,8 +30,8 @@ class MonoidPresentation:
         if not self.generators:
             raise PresentationError("presentation needs at least one generator")
         for g in self.generators:
-            if not isinstance(g, str) or not g:  # names are joined into words
-                raise PresentationError("generator names must be nonempty strings")
+            if not isinstance(g, str) or g in ("", "e") or "." in g:  # names are joined into words by "."
+                raise PresentationError('generator names must be nonempty strings other than "e", without "."')
         if len(set(self.generators)) != len(self.generators):
             raise PresentationError("generator names must be unique")
         n = len(self.generators)
@@ -99,22 +99,26 @@ def presentation_from_doc(doc) -> MonoidPresentation:
     return MonoidPresentation(pres.generators, rels, kind=doc.get("kind", "custom"))
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_LETTERS = "abcdfghijklmnopqrstuvwxyz"  # no "e", the identity's word
 _NAT_NAMES = "xyzw"
+
+
+def _check_size(family: str, value, least: int) -> None:
+    """A family's size parameter must be an int (not a bool) of at least least."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise PresentationError("%s needs an integer >= %d, got %r" % (family, least, value))
 
 
 def free(n: int) -> MonoidPresentation:
     """Free monoid on n generators (no relations)."""
-    if n <= 0:
-        raise PresentationError("free(n) needs n >= 1")
-    names = tuple(_LETTERS[i] if n <= 26 else "a%d" % (i + 1) for i in range(n))
+    _check_size("free(n)", n, 1)
+    names = tuple(_LETTERS[i] if n <= len(_LETTERS) else "a%d" % (i + 1) for i in range(n))
     return MonoidPresentation(names, (), kind="free")
 
 
 def nat(d: int) -> MonoidPresentation:
     """The free commutative monoid N^d: all generators commute."""
-    if d <= 0:
-        raise PresentationError("nat(d) needs d >= 1")
+    _check_size("nat(d)", d, 1)
     names = tuple(_NAT_NAMES[i] if d <= 4 else "x%d" % (i + 1) for i in range(d))
     rels = tuple(((i, j), (j, i)) for i in range(d) for j in range(i + 1, d))
     return MonoidPresentation(names, rels, kind="commutative")
@@ -123,6 +127,10 @@ def nat(d: int) -> MonoidPresentation:
 def raag(vertices: list[str], edges: list[tuple[str, str]]) -> MonoidPresentation:
     """Artin monoid of a simple graph: v and w commute exactly when {v,w} is
     an edge. Empty edge set gives the free monoid on the vertices."""
+    if not isinstance(vertices, (list, tuple)):  # a string would be read as its letters
+        raise PresentationError("raag vertices must be a list of names")
+    if not isinstance(edges, (list, tuple)) or not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
+        raise PresentationError("raag edges must be a list of vertex pairs")
     names = tuple(vertices)
     if not names:
         raise PresentationError("raag needs at least one vertex")
@@ -145,8 +153,7 @@ def raag(vertices: list[str], edges: list[tuple[str, str]]) -> MonoidPresentatio
 def braid(n: int) -> MonoidPresentation:
     """Positive braid monoid on n strands: generators s1..s(n-1), relations
     s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1} and s_i s_j = s_j s_i for |i-j| >= 2."""
-    if n < 2:
-        raise PresentationError("braid(n) needs n >= 2")
+    _check_size("braid(n)", n, 2)
     k = n - 1
     names = tuple("s%d" % (i + 1) for i in range(k))
     rels = []
@@ -166,7 +173,7 @@ def builtin(kind: str, **params) -> MonoidPresentation:
     if kind == "nat":
         return nat(params["d"])
     if kind == "raag":
-        return raag(params["vertices"], [tuple(e) for e in params.get("edges", [])])
+        return raag(params["vertices"], params.get("edges", []))
     if kind == "braid":
         return braid(params["n"])
     raise PresentationError("unknown builtin kind %r" % kind)

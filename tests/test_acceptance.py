@@ -324,6 +324,17 @@ def test_criterion_12_reports_match_goldens(num, tmp_path):
     assert out.read_bytes() == (GOLDEN / ("criterion_%02d.json" % num)).read_bytes()
 
 
+def test_golden_reports_are_strict_json():
+    # NaN, Infinity and -Infinity are Python's extensions of JSON; no report holds one
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+
+    goldens = sorted(GOLDEN.glob("criterion_*.json"))
+    assert len(goldens) == len(CRITERION_CONFIGS)
+    for path in goldens:
+        assert json.loads(path.read_text(), parse_constant=refuse)["checks"]
+
+
 def test_criterion_17_drury_arveson_norm_at_scale():
     # 20,301 dims, Gram half-bandwidth 400, 102 once ordered: a dense eigensolve
     # is out of reach, and the banded Cholesky shift search certifies the norm

@@ -278,6 +278,83 @@ def test_out_file_and_echoed_config(tmp_path, capsys):
     assert report["tables"]["counts"] == [1, 2, 3, 4, 5]
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, as a strict JSON parser does."""
+
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_report_echoes_the_config_as_it_ran(tmp_path, capsys):
+    # 17 significant digits in a custom-kernel coefficient and in phi: the echo keeps every one
+    kernel = {"name": "custom", "coefficients": [1.0, 0.30000000000000004, 0.12345678901234568]}
+    phi = [{"exponents": [0], "re": 1.2345678901234567}, {"exponents": [1], "re": 1.0, "im": -0.9876543210987654}]
+    config = {"command": "funcalg", "kernel": kernel, "phi": phi, "D": 2}
+    status = main(["--config", write_config(tmp_path, config)])
+    report = strict_json(capsys.readouterr().out)
+    assert status == 0 and report["config"] == config
+    # computed floats keep 12 significant digits, both where the ladder is tabled and in its witness
+    (ladder,) = [c["witness"] for c in report["checks"] if c["name"] == "norm-monotone"]
+    assert ladder["norm_lower"] == report["tables"]["norm_lower_bounds"][-1][1]
+    for _, value in report["tables"]["norm_lower_bounds"]:
+        assert value == float("%.12g" % value)
+
+
+@pytest.mark.parametrize(
+    "kernel, phi, D, norm",
+    [
+        ("hardy", [[0, 1e308], [1, 1e308]], 100, "inf"),  # overflows past the float range
+        ("dirichlet", [[1, 1e-320]], 8, "1.414e-320"),  # subnormal, rounded to nearest: not a lower bound
+    ],
+    ids=["overflow", "subnormal"],
+)
+def test_norms_outside_the_normal_range_are_not_certified(tmp_path, capsys, kernel, phi, D, norm):
+    terms = [{"exponents": [n], "re": c} for n, c in phi]
+    status = main(["--config", write_config(tmp_path, {"command": "funcalg", "kernel": kernel, "phi": terms, "D": D})])
+    report = strict_json(capsys.readouterr().out)
+    (ladder,) = [c for c in report["checks"] if c["name"] == "norm-monotone"]
+    assert status == 1 and "norm_lower_bounds" not in report["tables"]
+    assert ladder == {"name": "norm-monotone", "status": "fail",
+                      "witness": "norm not certified: %s is not a normal float" % norm}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, monkeypatch, token, source):
+    # json reads these, but JSON has none of them: an unchecked key would echo them into the report
+    text = '{"command": "enumerate", "presentation": {"builtin": "nat", "d": 1}, "L": 2, "note": %s}' % token
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    status = main(["--config", "-" if source == "stdin" else str(path)])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == "config error: config number %s is not a finite float\n" % token
+
+
+@pytest.mark.parametrize(
+    "presentation",
+    [
+        {"builtin": "nat", "d": True},
+        {"builtin": "free", "n": True},
+        {"builtin": "braid", "n": True},
+        {"builtin": "free", "n": 2.0},
+        {"builtin": "raag", "vertices": "ab", "edges": ["ab"]},
+        {"builtin": "raag", "vertices": ["a", "b"], "edges": ["ab"]},
+        {"builtin": "raag", "vertices": ["a", "b"], "edges": "ab"},
+        {"builtin": "raag", "vertices": ["a", "b"], "edges": [["a", 2]]},
+    ],
+    ids=["nat-bool", "free-bool", "braid-bool", "free-float", "raag-string-vertices", "raag-string-edge",
+         "raag-string-edges", "raag-integer-endpoint"],
+)
+def test_builtin_parameters_of_the_wrong_type_are_config_errors(tmp_path, capsys, presentation):
+    status, report, err = run(tmp_path, capsys, {"command": "enumerate", "presentation": presentation, "L": 2})
+    assert status == 2 and report is None
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_inline_presentation_document(tmp_path, capsys):
     config = {
         "command": "enumerate",

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 RUN = Path(__file__).resolve().parents[1] / "frontier" / "run.py"
 TINY = [  # the second loads numpy before it refuses D
     ("enumerate-nat1-L3", {"command": "enumerate", "presentation": {"builtin": "nat", "d": 1}, "L": 3}, []),
@@ -42,3 +44,19 @@ def test_harness_writes_its_schema(tmp_path, capsys):
         ["enumerate-nat1-L3", "status"], ["funcalg-bad-D", "wall_s"], ["funcalg-bad-D", "peak_rss_mb"],
         ["funcalg-bad-D", "status"],
     ]
+
+
+def test_named_rows_run_alone(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("frontier_run", RUN)
+    frontier = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(frontier)
+    frontier.ROWS = TINY
+    out = tmp_path / "bench.json"
+    assert frontier.main(["--out", str(out), "--k", "1", "funcalg-bad-D"]) == 0
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["name"] == "funcalg-bad-D" and [run["status"] for run in row["runs"]["change"]] == [2]
+    # a name that is no row is refused before anything runs
+    with pytest.raises(SystemExit) as exc:
+        frontier.main(["--out", str(tmp_path / "none.json"), "funcalg-bad-D", "no-such-row"])
+    assert exc.value.code == 2 and "no such row: no-such-row" in capsys.readouterr().err
+    assert not (tmp_path / "none.json").exists()

@@ -80,3 +80,21 @@ def test_invalid_builtin_params():
 def test_duplicate_generator_names_rejected():
     with pytest.raises(sf.PresentationError, match="unique"):
         sf.MonoidPresentation(("a", "a"), ())
+
+
+def test_free_generators_skip_the_identity_word():
+    assert sf.free(5).generators == ("a", "b", "c", "d", "f")
+    assert "e" not in sf.free(25).generators and sf.free(25).generators[-1] == "z"
+    assert sf.free(26).generators == tuple("a%d" % i for i in range(1, 27))
+    pres = sf.free(5)
+    assert [pres.parse_word(pres.word_str((i,))) for i in range(5)] == [(i,) for i in range(5)]
+
+
+@pytest.mark.parametrize("generators", [["e", "b"], ["a.b"], ["a", "b."]])
+def test_generator_names_that_words_cannot_spell_are_refused(generators):
+    # "e" is the identity's word, and "." joins names into words
+    with pytest.raises(sf.PresentationError, match="generator names"):
+        parse_presentation(json.dumps({"generators": generators}))
+    with pytest.raises(sf.PresentationError, match="generator names"):
+        sf.raag(generators, [])
+
