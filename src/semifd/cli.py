@@ -8,6 +8,7 @@ raised InvariantError, 2 InputError (a config error), 3 ResourceLimitError.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import math
@@ -85,9 +86,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def _digits(x) -> float:
-    """A computed float as a report records it: 12 significant digits, so reports reproduce byte for byte."""
-    return float("%.12g" % x)
+def _digits(x, rounding: str) -> float:
+    """A computed float as a report records it: 12 significant digits, so reports reproduce byte for byte. A lower
+    bound is rounded toward zero (decimal.ROUND_DOWN), so that it stays one; other floats to nearest."""
+    return float(decimal.Context(12, rounding=rounding).create_decimal_from_float(x))
 
 
 def _count(cfg, key: str, default: int) -> int:
@@ -170,9 +172,12 @@ def _cmd_divisors(cfg, max_words):
     L = _count(cfg, "L", 4)
     table = enumerate_monoid(pres, L, max_words=max_words)
     runner = CheckRunner()
-    R, Ls = table.divisor_sets(L), table.divisor_sets(L, left=True)  # index sets, read once
-    ball = table.elements_up_to(L)
-    sizes = [[table.str_of(p), len(R[p.index]), len(Ls[p.index])] for p in ball]
+    R, ball = table.divisor_sets(L), table.elements_up_to(L)  # R_p as index sets, read once
+    sizes, missing = [[table.str_of(p), len(R[p.index]), 0] for p in ball], []  # |L_p| is counted off the walk
+    for qr in (table.left_products(q, L - q.length) for q in ball):  # the walk from q lists q.r by index r
+        missing += [(p, r) for r, p in enumerate(qr) if r not in R[p]]  # factorizations p = q.r with r outside R_p
+        for p in set(qr):  # q is in L_p
+            sizes[p][2] += 1
 
     def bijection():
         for word, r, l in sizes:
@@ -181,9 +186,7 @@ def _cmd_divisors(cfg, max_words):
         return "all equal"
 
     def nesting():
-        # r in R_p for every p = q.r off the walk from q; filled from left predecessors' sets, R_p is then nested
-        walks = (table.left_products(q, L - q.length) for q in ball)
-        missing = [(p, r) for qr in walks for r, p in enumerate(qr) if r not in R[p]]
+        # R_p is filled from left predecessors' sets: with r in R_p for every p = q.r, R_p is nested
         if missing:
             p, r = min(missing)  # the least p with its least missing r, unless an r of R_p has R_r outside
             r = min((x for x in R[p] if not R[x] <= R[p]), default=r)
@@ -249,7 +252,7 @@ def _cmd_coaction(cfg, max_words):
         elems = source.elements_up_to(2)
         a = coact.AlgebraElement(source, {p: 1.0 + p.index for p in elems})
         coact.character_reconstruction(phi, a)
-        return {"support": len(elems), "character": _digits(coact.apply_character(a).real)}
+        return {"support": len(elems), "character": _digits(coact.apply_character(a).real, decimal.ROUND_HALF_EVEN)}
 
     runner.run("fell-absorption", lambda: coact.fell_intertwiner(phi, L_P, L_Q)[1])  # (W, report)
     runner.run("character-reconstruction", reconstruction)
@@ -289,7 +292,7 @@ def _cmd_funcalg(cfg, max_words, norm_tol):
         for lo, hi in zip(values, values[1:]):
             if not lo <= hi + 1e-10:  # NaN fails
                 raise InvariantError("compression norms decreased along %r" % (ladder,))
-        tables["norm_lower_bounds"] = rungs = [[dd, _digits(v)] for dd, v in zip(ladder, values)]
+        tables["norm_lower_bounds"] = rungs = [[dd, _digits(v, decimal.ROUND_DOWN)] for dd, v in zip(ladder, values)]
         return {"D": D, "norm_lower": rungs[-1][1]}
 
     def grading():
@@ -326,7 +329,7 @@ def execute(config: dict, args) -> tuple[dict, int]:
         raise InputError('"command" must be one of %s' % sorted(_COMMANDS))
     t0 = time.monotonic()
     runner, tables = _COMMANDS[command](config, args)
-    ms = _digits((time.monotonic() - t0) * 1000.0) if args.timing else 0.0
+    ms = _digits((time.monotonic() - t0) * 1000.0, decimal.ROUND_HALF_EVEN) if args.timing else 0.0
     report = {"config": config, "checks": runner.checks, "tables": tables, "ms": ms}  # the config as it was read
     return report, int(any(c["status"] == "fail" for c in runner.checks))
 

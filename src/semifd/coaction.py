@@ -159,14 +159,12 @@ def fell_intertwiner(phi: ControlledMap, L_P: int, L_Q: int) -> tuple[SparseOper
     sides into the codomain of W at level L_P + 1. All are partial maps, A e_c = e_{a[c]}
     (a[c] = -1 if A e_c = 0), so (i) says w has no -1 and no repeated entry, and
     (ii) equates the row arrays of the two composites."""
-    W = fell_intertwiner_at(phi, L_P, L_Q)
-    w = np.full(W.domain.dim, -1)
-    w[W.indices] = W._rows()  # partial_map puts one 1 in each mapped column
+    dom, cod, w = _fell_rows(phi, L_P, L_Q)  # the row array W is built from, certified before W is
     if (w < 0).any() or np.bincount(w).max() > 1:
         raise InvariantError("Fell intertwiner is not an isometry")
     # lengths add in the target, so |phi(p)| + |phi(g)| is within W_up's growth
     _, cod_up, w_up = _fell_rows(phi, L_P + 1, L_Q)
-    dim_Q, dim_Qc, dim_Qu = (b.factors[1].dim for b in (W.domain, W.codomain, cod_up))
+    dim_Q, dim_Qc, dim_Qu = (b.factors[1].dim for b in (dom, cod, cod_up))
     for g in range(len(phi.source.presentation.generators)):
         p = phi.source.element_from_word((g,))
         lp = np.array(phi.source.left_products(p, L_P))
@@ -175,8 +173,9 @@ def fell_intertwiner(phi: ControlledMap, L_P: int, L_Q: int) -> tuple[SparseOper
         rhs = lp[w // dim_Qc] * dim_Qu + vp[w % dim_Qc]  # W, then e_y (x) e_j -> e_py (x) e_{phi(p) j}
         if not np.array_equal(lhs, rhs):
             raise InvariantError("Fell intertwining fails for generator %s" % phi.source.str_of(p))
+    w_up = lhs = rhs = None  # released before W is assembled: its arrays would peak beside them
     generators = list(phi.source.presentation.generators)
-    return W, {"L_P": L_P, "L_Q": L_Q, "isometry": "exact", "intertwined_generators": generators}
+    return partial_map(dom, cod, w), {"L_P": L_P, "L_Q": L_Q, "isometry": "exact", "intertwined_generators": generators}
 
 
 def qf_spanning_set(phi: ControlledMap, F) -> tuple[frozenset, int]:

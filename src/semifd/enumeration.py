@@ -53,7 +53,7 @@ class EnumerationTable:
     |x| < L) is stored with its spanning tree: _parent[x] = (p, g) where
     canon(x) = canon(p).g. Products walk the graph; `left_products` (the
     walk) lists v.x over a ball along the tree, and every g.x comes from it.
-    Divisor sets are sets of indices, filled on demand level by level.
+    Divisor sets R_p are index sets filled on demand level by level; L_p is read off the walk.
     """
 
     def __init__(self, presentation: MonoidPresentation, L: int, max_words: int = 10**6):
@@ -66,7 +66,7 @@ class EnumerationTable:
         self.by_length: list[range] = [range(1)]
         self._right: list[tuple[int, ...]] = []  # _right[x][g] = x.g
         self._parent: list[tuple[int, int]] = [(0, 0)]  # (p, g) with canon(x) = canon(p).g
-        self._divisor_sets: tuple[list, list] = ([frozenset((0,))], [frozenset((0,))])  # R_p, L_p
+        self._divisor_sets: list[frozenset[int]] = [frozenset((0,))]  # R_p by index p
         self._enumerate()
 
     # -- construction ------------------------------------------------------
@@ -167,15 +167,15 @@ class EnumerationTable:
 
     # -- divisor sets --------------------------------------------------------
 
-    def divisor_sets(self, n: int, left: bool = False) -> list[frozenset[int]]:
-        """R_p (or L_p if left) as index sets, listed by index p and filled to
-        at least length n. Level by level, each set is {p} joined with the
-        sets of p's predecessors one level down: the x with g.x = p for R_p,
-        x.g = p for L_p. The list is the table's cache: read, never mutate."""
+    def divisor_sets(self, n: int) -> list[frozenset[int]]:
+        """R_p as index sets, listed by index p and filled to at least length n.
+        Level by level, each set is {p} joined with the sets of the x one level
+        down with g.x = p, since p = (g q')r makes r a right divisor of x = q'r.
+        The list is the table's cache: read, never mutate."""
         if not 0 <= n <= self.L:
             raise LengthBoundError("requested level %d outside 0..%d" % (n, self.L))
-        sets, graph = self._divisor_sets[left], self._right
-        if not left and len(sets) < self.by_length[n].stop:  # g.x for |x| < n, off the walk
+        sets = self._divisor_sets
+        if len(sets) < self.by_length[n].stop:  # g.x for |x| < n, off the walk
             graph = list(zip(*(self.left_products(self.elements[g], n - 1) for g in self._right[0])))
         while len(sets) < self.by_length[n].stop:
             m = self.elements[len(sets)].length
@@ -188,22 +188,23 @@ class EnumerationTable:
         return sets
 
     def divisor_union(self, indices, left: bool = False) -> frozenset[int]:
-        """Union of R_p (or L_p if left) over element indices p; the largest
-        index is among the longest elements, so it sets the fill."""
-        indices = tuple(indices)
-        sets = self.divisor_sets(self.elements[max(indices, default=0)].length, left)
+        """Union of R_p (or L_p if left) over element indices p; the largest index is among the
+        longest elements, so it sets the fill. L_p is never stored: it holds q when p is on q's walk."""
+        indices = frozenset(indices)
+        n = self.elements[max(indices, default=0)].length
+        if left:
+            walks = ((q.index, self.left_products(q, n - q.length)) for q in self.elements_up_to(n))
+            return frozenset(q for q, qr in walks if not indices.isdisjoint(qr))
+        sets = self.divisor_sets(n)
         return frozenset().union(*(sets[p] for p in indices))
 
     def right_divisors(self, p: MonoidElement) -> frozenset:
-        """R_p = {r : p = q*r for some q}. Always contains the identity and p.
-
-        p = (g q')r makes r a right divisor of q'r, a left-Cayley predecessor of p.
-        """
+        """R_p = {r : p = q*r for some q}. Always contains the identity and p."""
         return frozenset(self.elements[i] for i in self.divisor_sets(p.length)[p.index])
 
     def left_divisors(self, p: MonoidElement) -> frozenset:
         """L_p = {q : p = q*r for some r}; in bijection with R_p."""
-        return frozenset(self.elements[i] for i in self.divisor_sets(p.length, left=True)[p.index])
+        return frozenset(self.elements[i] for i in self.divisor_union((p.index,), left=True))
 
     # -- desk-scale witnesses -------------------------------------------------
 

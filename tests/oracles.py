@@ -18,7 +18,8 @@ through a dense array or a scipy.sparse view of the operator.
 ``operator_fell_check`` is the package's former Fell certificate, which
 composed the intertwiner with the shifts through the generic operator product,
 and ``pairwise_nesting`` the former ``divisor-nesting`` check, one subset test
-per pair (p, r in R_p).
+per pair (p, r in R_p). ``left_divisor_fill`` is the table's former L_p fill,
+which stored every left divisor set.
 """
 
 from __future__ import annotations
@@ -114,6 +115,20 @@ def table_divisors(table, p) -> tuple[set, set]:
                 rights.add(r)
                 lefts.add(q)
     return rights, lefts
+
+
+def left_divisor_fill(table, n: int) -> list:
+    """L_p as index sets, listed by index p up to length n: level by level, {p}
+    joined with the sets of the x with x.g = p one level down."""
+    sets = [frozenset((0,))]
+    for m in range(1, n + 1):
+        level = table.by_length[m]
+        preds = [[] for _ in level]
+        for x in table.by_length[m - 1]:
+            for q in table._right[x]:
+                preds[q - level.start].append(sets[x])
+        sets.extend(ps[0].union((q,), *ps[1:]) for q, ps in zip(level, preds))
+    return sets
 
 
 def pairwise_nesting(table, R, L: int):

@@ -8,8 +8,10 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from decimal import ROUND_DOWN, Context
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -214,19 +216,26 @@ def test_successive_calls_do_not_leak_options(tmp_path, capsys):
     ],
 )
 def test_broken_divisor_set_fails_with_one_line_witness(tmp_path, capsys, monkeypatch, broken_side, witnesses):
-    # drop the identity from R_p (or L_p) of p = a.b.b, or from every R_p: the checks
-    # name p, and the nesting witness is the first r of R_p whose R_r is not inside,
-    # else the r of a factorization p = q.r missing from R_p
-    real = EnumerationTable.divisor_sets
+    # drop the identity from R_p of p = a.b.b, or from every R_p, or a.b from L_p by a walk
+    # from a.b that returns a.b where it returned a.b.b: the checks name p, and the nesting
+    # witness is the first r of R_p whose R_r is not inside, else the r of a factorization
+    # p = q.r missing from R_p
+    real, real_walk = EnumerationTable.divisor_sets, EnumerationTable.left_products
 
-    def dropped(self, n, left=False):
-        sets = list(real(self, n, left))
-        if left == (broken_side == "left"):
-            for p in range(len(sets)) if broken_side == "right-all" else [self.element_from_str("a.b.b").index]:
-                sets[p] = sets[p] - {0}
+    def dropped(self, n):
+        sets = list(real(self, n))
+        for p in range(len(sets)) if broken_side == "right-all" else [self.element_from_str("a.b.b").index]:
+            sets[p] = sets[p] - {0}
         return sets
 
-    monkeypatch.setattr(EnumerationTable, "divisor_sets", dropped)
+    def misrouted(self, v, L):
+        ab, abb = self.element_from_str("a.b"), self.element_from_str("a.b.b").index
+        return [ab.index if x == abb else x for x in real_walk(self, v, L)] if v == ab else real_walk(self, v, L)
+
+    if broken_side == "left":
+        monkeypatch.setattr(EnumerationTable, "left_products", misrouted)
+    else:
+        monkeypatch.setattr(EnumerationTable, "divisor_sets", dropped)
     config = {"command": "divisors", "presentation": {"builtin": "free", "n": 2}, "L": 3}
     status, report, err = run(tmp_path, capsys, config)
     assert status == 1 and err == ""
@@ -630,10 +639,24 @@ def test_drury_arveson_ladder_certifies_at_D120(tmp_path, capsys, monkeypatch):
     assert status == 0 and err == "" and all(c["status"] == "pass" for c in report["checks"])
     kernel, phi = sf.drury_arveson(2), sf.Polynomial.parse_terms(2, terms)
     assert [dd for dd, _ in report["tables"]["norm_lower_bounds"]] == [30, 60, 120] and len(norms) == 3
+    toward_zero = Context(prec=12, rounding=ROUND_DOWN)  # a lower bound keeps 12 digits and stays below
     for (dd, reported), (A, value) in zip(report["tables"]["norm_lower_bounds"], norms):
         basis = sf.fock_basis(kernel, dd)
         assert A == funcalg.multiplication(kernel, phi, basis, basis)
-        assert value == scipy_operator_norm(A) and reported == float("%.12g" % value)
+        assert value == scipy_operator_norm(A) and reported == float(toward_zero.create_decimal_from_float(value))
+
+
+def test_hardy_norm_lower_bounds_stay_below_the_norms():
+    # phi = 1 + z compressed to degree <= dd is I + S on dd + 1 dims, of norm 2 cos(pi / (2 dd + 3)):
+    # every rung of D = 1..199 reports at most that (rounded to nearest, 115 of them did not)
+    args = cli._parser().parse_args(["--config", "-"])
+    phi = [{"exponents": [0], "re": 1.0}, {"exponents": [1], "re": 1.0}]
+    with mpmath.workdps(40):
+        for D in range(1, 200):
+            report, status = cli.execute({"command": "funcalg", "kernel": "hardy", "phi": phi, "D": D}, args)
+            assert status == 0
+            for dd, value in report["tables"]["norm_lower_bounds"]:
+                assert mpmath.mpf(value) <= 2 * mpmath.cos(mpmath.pi / (2 * dd + 3)), (D, dd, value)
 
 
 def test_fdapprox_contractivity_is_exact(tmp_path, capsys, monkeypatch):

@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semifd as sf
+from semifd import cli
 
 from oracles import (
     brute_canonical_map,
     brute_counts,
     brute_left_divisors,
     brute_right_divisors,
+    left_divisor_fill,
     pairwise_nesting,
     table_associative,
     table_cancellative,
@@ -111,6 +113,43 @@ def test_divisor_fill_matches_table_oracle(case):
     assert (longest_first.right_divisors(last), longest_first.left_divisors(last)) == expected[-1]
     for table in (in_order, longest_first):
         assert [(table.right_divisors(p), table.left_divisors(p)) for p in table.elements] == expected
+
+
+BUILTIN_DOCS = [
+    {"builtin": "free", "n": 2},
+    {"builtin": "free", "n": 3},
+    {"builtin": "nat", "d": 2},
+    {"builtin": "nat", "d": 3},
+    {"builtin": "braid", "n": 3},
+    {"builtin": "braid", "n": 4},
+    {"builtin": "raag", "vertices": ["a", "b", "c"], "edges": [["a", "b"]]},
+]
+
+
+@st.composite
+def presentation_docs(draw):
+    """A presentation document, a builtin family or a small random relation set, with a length bound."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(BUILTIN_DOCS)), draw(st.integers(0, 5))
+    pres, L = draw(small_presentations())
+    relations = [[pres.word_str(u), pres.word_str(v)] for u, v in pres.relations]
+    return {"generators": list(pres.generators), "relations": relations}, L
+
+
+@given(presentation_docs(), st.data())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_left_divisors_read_off_the_walk_match_the_former_fill(case, data):
+    # |L_p| in the divisors report, unions of L_p and each L_p, all read off the walk,
+    # against the stored L_p fill they replaced; cancellative or not
+    doc, L = case
+    args = cli._parser().parse_args(["--config", "-"])
+    report, _ = cli.execute({"command": "divisors", "presentation": doc, "L": L}, args)
+    table = sf.enumerate_monoid(cli._load_presentation(doc, args.max_words), L)
+    expected = left_divisor_fill(table, L)
+    assert [row[2] for row in report["tables"]["sizes"]] == [len(s) for s in expected]
+    S = data.draw(st.sets(st.integers(0, len(expected) - 1), max_size=4))
+    assert table.divisor_union(S, left=True) == frozenset().union(*(expected[p] for p in S))
+    assert [table.left_divisors(p) for p in table.elements] == [set(map(table.element, s)) for s in expected]
 
 
 # -- multiplication ------------------------------------------------------------

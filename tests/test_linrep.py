@@ -111,11 +111,10 @@ def test_negative_levels_raise():
     for call in calls:
         with pytest.raises(sf.LengthBoundError):
             call(-1)
-    for left in (False, True):  # nor may divisor sets fill to the top level, or past it
-        for n in (-1, 4):
-            with pytest.raises(sf.LengthBoundError, match="requested level %d outside 0..3" % n):
-                table.divisor_sets(n, left)
-        assert len(table.divisor_sets(0, left)) == 1
+    for n in (-1, 4):  # nor may divisor sets fill to the top level, or past it
+        with pytest.raises(sf.LengthBoundError, match="requested level %d outside 0..3" % n):
+            table.divisor_sets(n)
+    assert len(table.divisor_sets(0)) == 1
     adj = sf.lambda_adjoint_op(table, a, 0)
     assert adj.domain.dim == 1 and adj.is_zero()
 
