@@ -60,6 +60,8 @@ ROWS = [
      {"command": "coaction", "presentation": {"builtin": "braid", "n": 4}, "map": "length", "L_P": 10, "L_Q": 80}, []),
     ("fdapprox-braid4-F8-L8",
      {"command": "fdapprox", "presentation": {"builtin": "braid", "n": 4}, "F": ["s1.s2.s3.s1.s2.s1.s3.s2"], "L": 8}, []),
+    ("fdapprox-braid4-F12-L10", {"command": "fdapprox", "presentation": {"builtin": "braid", "n": 4},
+                                 "F": ["s1.s2.s3.s1.s2.s1.s3.s2.s1.s3.s2.s3"], "L": 10}, []),
     ("funcalg-hardy-D20000", {"command": "funcalg", "kernel": "hardy", "D": 20000,
                               "phi": [{"exponents": [0], "re": 1.0}, {"exponents": [1], "re": 1.0}]}, []),
     ("funcalg-da2-D120", {"command": "funcalg", "kernel": {"name": "drury_arveson", "d": 2}, "phi": DA2, "D": 120}, []),

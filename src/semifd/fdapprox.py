@@ -36,12 +36,15 @@ class DivisorSubspace:
     def max_length(self) -> int:
         return max(p.length for p in self.F)
 
+    def rows(self, s: MonoidElement) -> list[int]:
+        """Row array of compress(s): the position of s*r in Y_F for each label r, or -1.
+        One walk lists s*x for |x| <= max|F| - |s|; longer r send e_r outside Y_F."""
+        prods, find = self.table.left_products(s, self.max_length - s.length), self.basis.find
+        return [find(prods[r]) if r < len(prods) else -1 for r in self.basis.labels]
+
     def compress(self, s: MonoidElement) -> SparseOperator:
         """Matrix of Q_F lambda_s Q_F restricted to Y_F; entries in {0, 1}."""
-        top = self.max_length - s.length  # longer r send e_r outside Y_F
-        rows = [self.basis.find(self.table.multiply(s, r).index) if r.length <= top else -1
-                for r in map(self.table.element, self.basis.labels)]
-        return partial_map(self.basis, self.basis, rows)
+        return partial_map(self.basis, self.basis, self.rows(s))
 
     def check_coinvariance(self):
         """lambda_s* maps Y_F into Y_F (plus 0) for every s: the cofactor t of
@@ -69,17 +72,18 @@ def build_Y(table: EnumerationTable, F) -> DivisorSubspace:
     return DivisorSubspace(table, F, basis)
 
 
-def kernel_set(sub: DivisorSubspace, L: int, compressions=None) -> frozenset:
+def kernel_set(sub: DivisorSubspace, L: int, rows=None) -> frozenset:
     """Elements s of length <= L whose compression to Y_F is 0.
 
-    Computed twice: by matrix nullity and by the combinatorial complement of
-    the union of left-divisor sets of right divisors of F. A mismatch means a
-    bug and raises. compressions, if given, are sub.compress(s) over the L-ball.
+    Computed twice: by the compressions' row arrays (no entry >= 0) and by the
+    combinatorial complement of the union of left-divisor sets of right divisors
+    of F. A mismatch means a bug and raises. rows, if given, are sub.rows(s) over
+    the L-ball.
     """
     table, ball = sub.table, sub.table.elements_up_to(L)
     allowed = table.divisor_union(table.divisor_union(p.index for p in sub.F), left=True)
-    compressions = [sub.compress(s) for s in ball] if compressions is None else compressions
-    by_matrix = {s.index for s, op in zip(ball, compressions) if op.is_zero()}
+    rows = [sub.rows(s) for s in ball] if rows is None else rows
+    by_matrix = {s.index for s, row in zip(ball, rows) if max(row) < 0}
     by_formula = {s.index for s in ball} - allowed
     if by_matrix != by_formula:
         raise InvariantError(
@@ -107,10 +111,7 @@ def stabilization_index(
     tested = [F0] + [F0 + tuple(extra) for extra in extras]
     for F in tested:
         sub = build_Y(table, F)
-        mat = sub.compress(s)
-        col = sub.basis.index_of(q.index)
-        image = {r for (r, c) in mat.entries if c == col}
-        if image != {sub.basis.index_of(sq.index)}:
+        if sub.rows(s)[sub.basis.index_of(q.index)] != sub.basis.index_of(sq.index):
             raise InvariantError(
                 "stabilization failed: Q_F lambda_%s e_%s != e_%s for F=%s"
                 % (

@@ -177,13 +177,6 @@ class SparseOperator:
     def is_zero(self) -> bool:
         return not len(self.data)
 
-    def is_partial_map(self) -> bool:
-        """Exactly: every entry is 1 and no row or column holds two, so the
-        norm is 0 or 1. (indptr steps by at most 1 iff it takes nnz + 1 values.)"""
-        nnz = len(self.data)
-        return (len(set(self.indices.tolist())) == nnz and len(set(self.indptr.tolist())) == nnz + 1
-                and all(x == 1 for x in self.data.tolist()))
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if vec.shape != (self.domain.dim,):
             raise BasisMismatchError("vector length does not match domain")

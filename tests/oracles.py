@@ -19,7 +19,8 @@ through a dense array or a scipy.sparse view of the operator.
 composed the intertwiner with the shifts through the generic operator product,
 and ``pairwise_nesting`` the former ``divisor-nesting`` check, one subset test
 per pair (p, r in R_p). ``left_divisor_fill`` is the table's former L_p fill,
-which stored every left divisor set.
+which stored every left divisor set, and ``compression_rows`` the former
+compression to Y_F, one multiplication and one basis lookup per (s, r).
 """
 
 from __future__ import annotations
@@ -139,6 +140,14 @@ def pairwise_nesting(table, R, L: int):
         if bad:
             return p, min(bad)
     return None
+
+
+def compression_rows(sub, s) -> list:
+    """Row array of the compression of lambda_s to Y_F: the position of s*r in
+    Y_F for each label r with |s| + |r| <= max|F|, or -1."""
+    table, top = sub.table, sub.max_length - s.length
+    return [sub.basis.find(table.multiply(s, r).index) if r.length <= top else -1
+            for r in map(table.element, sub.basis.labels)]
 
 
 def word_image(phi, p):

@@ -672,6 +672,20 @@ def test_fdapprox_contractivity_is_exact(tmp_path, capsys, monkeypatch):
     assert check == {"name": "contractivity", "status": "pass", "witness": "all <= 1"}
 
 
+def test_fdapprox_contractivity_falls_back_to_the_norm_on_a_collision(tmp_path, capsys):
+    # a.b = a.c is not cancellative: lambda_a sends e_b and e_c to e_{a.b}, so its
+    # compression is no partial map, and only the norm sqrt(2) finds the failure
+    pres = {"generators": ["a", "b", "c"], "relations": [["a.b", "a.c"]]}
+    config = {"command": "fdapprox", "presentation": pres, "F": ["a.b", "c"], "L": 2}
+    status, report, err = run(tmp_path, capsys, config)
+    assert status == 1, err
+    assert report["checks"] == [
+        {"name": "kernel-formula", "status": "pass", "witness": {"size": 7}},
+        {"name": "contractivity", "status": "fail", "witness": "compression norm 1.4142135623730951 > 1 at s=a"},
+        {"name": "coinvariance", "status": "pass", "witness": "exact"},
+    ]
+
+
 def test_covariance_needs_coefficients_up_to_D_only(tmp_path, capsys):
     # the covariance check works on the square compression to degree <= min(D, 8)
     config = {

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semifd as sf
 from semifd.linrep import partial_map
 
-from oracles import brute_right_divisors, table_coinvariant
+from oracles import brute_right_divisors, compression_rows, table_coinvariant
 
 
 def el(table, text):
@@ -67,6 +69,38 @@ def test_pi_F_nilpotent_shift(nat1):
 def test_pi_F_annihilates_long_shift(nat1):
     mat = sf.build_Y(nat1, [nat_el(nat1, 2)]).compress(nat_el(nat1, 3))
     assert mat.is_zero()
+
+
+FAMILIES = [
+    sf.nat(1), sf.nat(2), sf.free(2), sf.braid(3), sf.braid(4), sf.raag(["a", "b", "c"], [("a", "b")]),
+    sf.MonoidPresentation(("a", "b", "c"), (((0, 1), (0, 2)),)),  # a.b = a.c: not cancellative
+]
+
+
+@st.composite
+def presentations(draw):
+    """A builtin family, the non-cancellative a.b = a.c, or a small random homogeneous relation set."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FAMILIES))
+    k = draw(st.integers(1, 3))
+
+    def word(n):
+        return st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
+
+    pair = st.integers(1, 3).flatmap(lambda n: st.tuples(word(n), word(n)))
+    return sf.MonoidPresentation(tuple("abc"[:k]), tuple(draw(st.lists(pair, max_size=3))))
+
+
+@given(presentations(), st.integers(0, 5), st.data())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_rows_read_off_the_walk_match_the_former_loop(pres, L, data):
+    # every s of the L-ball, against one multiply and one lookup per (s, r); cancellative or not
+    table = sf.enumerate_monoid(pres, L)
+    sub = sf.build_Y(table, data.draw(st.lists(st.sampled_from(table.elements), min_size=1, max_size=3)))
+    for s in table.elements:
+        rows = sub.rows(s)
+        assert rows == compression_rows(sub, s)
+        assert sub.compress(s) == partial_map(sub.basis, sub.basis, rows)
 
 
 def test_pi_F_identity_acts_as_identity(braid3):

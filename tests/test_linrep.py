@@ -406,16 +406,6 @@ def test_band_cap_trips_before_the_band_is_allocated(monkeypatch):
         sf.operator_norm(A, max_words=250)
 
 
-def test_is_partial_map_is_exact():
-    b = sf.Basis(("pm",), tuple(range(4)))
-    assert partial_map(b, b, [2, -1, 0, 3]).is_partial_map()
-    assert sf.zero_operator(b, b).is_partial_map()
-    assert not partial_map(b, b, [2, 2, 0, 3]).is_partial_map()  # two 1s in row 2
-    assert not sf.SparseOperator(b, b, {(0, 1): 1.0, (1, 1): 1.0}).is_partial_map()  # two in column 1
-    assert not sf.SparseOperator(b, b, {(0, 1): 2.0}).is_partial_map()
-    assert not sf.SparseOperator(b, b, {(0, 1): 1j}).is_partial_map()
-
-
 @pytest.mark.parametrize("n, m", [(40, 90), (70, 150)])
 def test_operator_norm_rectangular_matches_svd(n, m):
     rng = np.random.default_rng(n)
