@@ -53,7 +53,8 @@ class EnumerationTable:
     |x| < L) is stored with its spanning tree: _parent[x] = (p, g) where
     canon(x) = canon(p).g. Products walk the graph; `left_products` (the
     walk) lists v.x over a ball along the tree, and every g.x comes from it.
-    Divisor sets R_p are index sets filled on demand level by level; L_p is read off the walk.
+    A union of divisor sets R_p (L_p) is one sweep down the index order over
+    the g.x (the x.g); nothing is stored for it.
     """
 
     def __init__(self, presentation: MonoidPresentation, L: int, max_words: int = 10**6):
@@ -66,7 +67,6 @@ class EnumerationTable:
         self.by_length: list[range] = [range(1)]
         self._right: list[tuple[int, ...]] = []  # _right[x][g] = x.g
         self._parent: list[tuple[int, int]] = [(0, 0)]  # (p, g) with canon(x) = canon(p).g
-        self._divisor_sets: list[frozenset[int]] = [frozenset((0,))]  # R_p by index p
         self._enumerate()
 
     # -- construction ------------------------------------------------------
@@ -167,43 +167,44 @@ class EnumerationTable:
 
     # -- divisor sets --------------------------------------------------------
 
+    def _successors(self, n: int, left: bool) -> list[tuple[int, ...]]:
+        """The one-letter extensions of each x with |x| < n, by index: the x.g if left,
+        else the g.x off the walk. L_p (R_p) holds x when it holds one of them."""
+        if left or n == 0:
+            return self._right[: self.by_length[n].start]
+        return list(zip(*(self.left_products(self.elements[g], n - 1) for g in self._right[0])))
+
     def divisor_sets(self, n: int) -> list[frozenset[int]]:
-        """R_p as index sets, listed by index p and filled to at least length n.
-        Level by level, each set is {p} joined with the sets of the x one level
-        down with g.x = p, since p = (g q')r makes r a right divisor of x = q'r.
-        The list is the table's cache: read, never mutate."""
+        """R_p as index sets in a fresh list, by index p up to length n. Level by level, each set is {p}
+        joined with the sets of the x one level down with g.x = p, as p = (g q')r makes r divide x = q'r."""
         if not 0 <= n <= self.L:
             raise LengthBoundError("requested level %d outside 0..%d" % (n, self.L))
-        sets = self._divisor_sets
-        if len(sets) < self.by_length[n].stop:  # g.x for |x| < n, off the walk
-            graph = list(zip(*(self.left_products(self.elements[g], n - 1) for g in self._right[0])))
-        while len(sets) < self.by_length[n].stop:
-            m = self.elements[len(sets)].length
+        sets, succ = [frozenset((0,))], self._successors(n, left=False)
+        for m in range(1, n + 1):
             level = self.by_length[m]
             preds = [[] for _ in level]
             for x in self.by_length[m - 1]:
-                for q in graph[x]:
+                for q in succ[x]:
                     preds[q - level.start].append(sets[x])
             sets.extend(ps[0].union((q,), *ps[1:]) for q, ps in zip(level, preds))
         return sets
 
     def divisor_union(self, indices, left: bool = False) -> frozenset[int]:
-        """Union of R_p (or L_p if left) over element indices p; the largest index is among the
-        longest elements, so it sets the fill. L_p is never stored: it holds q when p is on q's walk."""
-        indices = frozenset(indices)
-        n = self.elements[max(indices, default=0)].length
-        if left:
-            walks = ((q.index, self.left_products(q, n - q.length)) for q in self.elements_up_to(n))
-            return frozenset(q for q, qr in walks if not indices.isdisjoint(qr))
-        sets = self.divisor_sets(n)
-        return frozenset().union(*(sets[p] for p in indices))
+        """Union of R_p (or L_p if left) over element indices p, in one sweep down the index order: x is
+        in it when x is a p or a successor of x (one letter longer, so settled first) is in it."""
+        union = set(indices)
+        succ = self._successors(self.elements[max(union, default=0)].length, left)
+        for x in range(len(succ) - 1, -1, -1):
+            if not union.isdisjoint(succ[x]):
+                union.add(x)
+        return frozenset(union)
 
     def right_divisors(self, p: MonoidElement) -> frozenset:
         """R_p = {r : p = q*r for some q}. Always contains the identity and p."""
-        return frozenset(self.elements[i] for i in self.divisor_sets(p.length)[p.index])
+        return frozenset(self.elements[i] for i in self.divisor_union((p.index,)))
 
     def left_divisors(self, p: MonoidElement) -> frozenset:
-        """L_p = {q : p = q*r for some r}; in bijection with R_p."""
+        """L_p = {q : p = q*r for some r}; as large as R_p only when the table is cancellative."""
         return frozenset(self.elements[i] for i in self.divisor_union((p.index,), left=True))
 
     # -- desk-scale witnesses -------------------------------------------------

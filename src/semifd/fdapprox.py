@@ -52,11 +52,10 @@ class DivisorSubspace:
         every r in Y_F: one union over Y_F, equal to Y_F as r is in R_r."""
         table, labels, Y = self.table, self.basis.labels, frozenset(self.basis.labels)
         if not table.divisor_union(labels) <= Y:
-            R = table.divisor_sets(table.element(max(labels)).length)
-            r = next(r for r in labels if not R[r] <= Y)
+            R, r = next((R, r) for r in labels if not (R := table.divisor_union((r,))) <= Y)
             raise InvariantError(
                 "coinvariance broken: right divisor %s of %s is not in Y_F"
-                % (table.str_of(table.element(min(R[r] - Y))), table.str_of(table.element(r)))
+                % (table.str_of(table.element(min(R - Y))), table.str_of(table.element(r)))
             )
 
 

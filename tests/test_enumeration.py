@@ -1,11 +1,12 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semifd as sf
-from semifd import cli
+from semifd import cli, fdapprox
 
 from oracles import (
     brute_canonical_map,
@@ -104,8 +105,8 @@ def test_union_find_levels_match_brute_classes(case):
 @given(small_presentations())
 @settings(max_examples=40, deadline=None)
 def test_divisor_fill_matches_table_oracle(case):
-    # divisor sets are filled lazily up to the longest element asked for, so
-    # asking in index order and asking for the longest element first must agree
+    # each element's divisor sets against the oracle's, asked in index order on
+    # one table and for the longest element first on another
     pres, L = case
     in_order, longest_first = sf.enumerate_monoid(pres, L), sf.enumerate_monoid(pres, L)
     expected = [table_divisors(in_order, p) for p in in_order.elements]
@@ -139,8 +140,8 @@ def presentation_docs(draw):
 @given(presentation_docs(), st.data())
 @settings(max_examples=80, derandomize=True, deadline=None)
 def test_left_divisors_read_off_the_walk_match_the_former_fill(case, data):
-    # |L_p| in the divisors report, unions of L_p and each L_p, all read off the walk,
-    # against the stored L_p fill they replaced; cancellative or not
+    # |L_p| in the divisors report, unions of L_p and each L_p, against the stored L_p
+    # fill they replaced, and unions of R_p against the R_p fill; cancellative or not
     doc, L = case
     args = cli._parser().parse_args(["--config", "-"])
     report, _ = cli.execute({"command": "divisors", "presentation": doc, "L": L}, args)
@@ -150,6 +151,34 @@ def test_left_divisors_read_off_the_walk_match_the_former_fill(case, data):
     S = data.draw(st.sets(st.integers(0, len(expected) - 1), max_size=4))
     assert table.divisor_union(S, left=True) == frozenset().union(*(expected[p] for p in S))
     assert [table.left_divisors(p) for p in table.elements] == [set(map(table.element, s)) for s in expected]
+    R = table.divisor_sets(L)
+    assert table.divisor_union(S) == frozenset().union(*(R[p] for p in S))
+
+
+NON_CANCELLATIVE = {"generators": ["a", "b", "c"], "relations": [["a.b", "a.c"]]}
+
+
+def test_non_cancellative_divisor_sets_differ_in_size():
+    table = sf.enumerate_monoid(sf.parse_presentation(json.dumps(NON_CANCELLATIVE)), 3)
+    p = table.element_from_str("a.b")
+    assert {table.str_of(r) for r in table.right_divisors(p)} == {"e", "b", "c", "a.b"}
+    assert {table.str_of(q) for q in table.left_divisors(p)} == {"e", "a", "a.b"}
+
+
+@pytest.mark.parametrize(
+    "pres", [sf.braid(3), sf.parse_presentation(json.dumps(NON_CANCELLATIVE))], ids=["braid3", "ab=ac"]
+)
+def test_divisor_queries_leave_the_table_as_built(pres):
+    table = sf.enumerate_monoid(pres, 4)
+    built = pickle.dumps(vars(table))
+    last = table.elements[-1]
+    for left in (False, True):
+        table.divisor_union({1, last.index}, left=left)
+    table.right_divisors(last)
+    table.left_divisors(last)
+    table.divisor_sets(4)
+    fdapprox.build_Y(table, [last])
+    assert pickle.dumps(vars(table)) == built
 
 
 # -- multiplication ------------------------------------------------------------
